@@ -19,7 +19,7 @@ from math import gcd
 
 from .diagram import Diagram
 from .errors import ColoringError
-from .laurent import alexander_matrix
+from .laurent import alexander_matrix, det_int
 from .bounds import is_odd_prime
 
 
@@ -441,31 +441,6 @@ def _pivot_rows_rational(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Fraction-free integer determinant (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def collapse_and_check(d: Diagram, coloring: Coloring) -> CollapseReport:
     """Merge equal-colored columns of the integer relation matrix, keep an
     independent set of rows, drop the (zero) summed column, and test the
@@ -512,7 +487,7 @@ def collapse_and_check(d: Diagram, coloring: Coloring) -> CollapseReport:
         if sum(row) != 0:
             raise ColoringError("internal inconsistency: collapsed row sum is non-zero")
     b = [row[:-1] for row in chosen]
-    det_b = _det_int(b)
+    det_b = det_int(b)
     big_m = max(abs(m), abs(m - 1))
     bound = big_m ** (dcount - 1)
     divisible = det_b % p == 0

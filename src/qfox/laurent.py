@@ -3,8 +3,10 @@
 Everything downstream (determinants, colorings, bounds) runs on exact
 integer coefficients; nothing in this module touches floating point.
 The module also builds the crossing/arc relation matrix of a diagram and
-computes its first minors with a fraction-free (Bareiss) elimination, so
-determinants of matrices over Z[t] never leave Z[t].
+computes its first minors by evaluation and interpolation: one integer
+determinant (fraction-free Bareiss elimination) at each of t = 0, 1, ..., N,
+where N bounds the degree of the minor, then exact Newton interpolation
+back to Z[t].  Every division on the way is checked for a remainder.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import json
+from math import factorial
 import re
 from typing import Iterable, Mapping
 
 from .diagram import Diagram
-from .errors import InexactDivisionError, NormalizationError
+from .errors import DiagramError, InexactDivisionError, NormalizationError
 
 
 @dataclass(frozen=True)
@@ -296,47 +299,86 @@ def alexander_matrix(d: Diagram) -> AlexMatrix:
     return AlexMatrix(tuple(rows), tuple(d.arcs))
 
 
-def det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Fraction-free determinant over Z[t].  Entries must have min_exp >= 0."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
+def det_int(rows: list[list[int]]) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination.
+
+    Bareiss's identity makes every division by the previous pivot exact;
+    each one is checked, and a remainder raises InexactDivisionError.
+    """
     m = [list(r) for r in rows]
+    if not m:
+        return 1
     sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = LaurentPoly.zero()
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+    prev = 1
+    while len(m) > 1:
+        k = next((i for i, r in enumerate(m) if r[0]), None)
+        if k is None:
+            return 0
+        if k:
+            m[0], m[k] = m[k], m[0]
+            sign = -sign
+        pivot, *head = m[0]
+        reduced = []
+        for row in m[1:]:
+            a = row[0]
+            out = []
+            for x, y in zip(row[1:], head):
+                # A row with a zero in the pivot column is only rescaled, and
+                # relation matrices are mostly zeros: skip the work for those.
+                v = pivot * x - a * y if a else pivot * x
+                if not v:
+                    out.append(0)
+                    continue
+                q, r = divmod(v, prev)
+                if r:
+                    raise InexactDivisionError(
+                        f"Bareiss step: {prev} does not divide {v}", remainder=r
+                    )
+                out.append(q)
+            reduced.append(out)
+        m = reduced
+        prev = pivot
+    return sign * m[0][0]
 
 
-def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Reference determinant by cofactor expansion.  Exponential; only for
-    cross-checking det_bareiss on small matrices."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return rows[0][0]
-    acc = LaurentPoly.zero()
-    for j, head in enumerate(rows[0]):
-        if head.is_zero:
-            continue
-        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = head * det_cofactor(sub)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def _newton_expand(values: list[int]) -> tuple[int, ...]:
+    """Coefficients of the integer polynomial f with f(x) = values[x].
+
+    The Newton coefficients c_k = (forward difference)^k f(0) / k! of a
+    polynomial with integer coefficients are integers; each division is
+    checked, and a remainder raises InexactDivisionError.  The Newton form
+    sum c_k x(x-1)...(x-k+1) is then expanded by Horner's rule.
+    """
+    newton = []
+    diffs = list(values)
+    for k in range(len(values)):
+        c, r = divmod(diffs[0], factorial(k))
+        if r:
+            raise InexactDivisionError(
+                f"Newton coefficient {k}: {k}! does not divide {diffs[0]}",
+                remainder=r,
+            )
+        newton.append(c)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        # coeffs * (x - k) + c_k
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += newton[k]
+    return tuple(coeffs)
+
+
+def det_poly(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant over Z[t] by evaluation and interpolation.
+
+    Entries must have min_exp >= 0.  The determinant has degree at most
+    N = size * (largest entry degree), so one integer determinant at each
+    of t = 0, 1, ..., N fixes it; exact Newton interpolation recovers it.
+    """
+    degree = max((e.degree for r in rows for e in r), default=0)
+    points = range(len(rows) * max(degree, 0) + 1)
+    values = [det_int([[e.evaluate(x) for e in r] for r in rows]) for x in points]
+    return LaurentPoly(_newton_expand(values))
 
 
 def _shift_nonneg(rows: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
@@ -351,8 +393,11 @@ def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> Lauren
     """Determinant after deleting one row and one column.
 
     Defined only up to a unit ±t^n: different (drop_row, drop_col) choices
-    agree up to that ambiguity, which reduce_normalize absorbs.
+    agree up to that ambiguity, which reduce_normalize absorbs.  A matrix
+    with no rows (a diagram without crossings) raises DiagramError.
     """
+    if mat.n_rows == 0:
+        raise DiagramError("a diagram without crossings has no first minor")
     if not (0 <= drop_row < mat.n_rows and 0 <= drop_col < mat.n_cols):
         raise IndexError("minor indices out of range")
     rows = [
@@ -362,7 +407,7 @@ def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> Lauren
     ]
     if rows and len(rows) != len(rows[0]):
         raise ValueError("minor of a non-square matrix")
-    return det_bareiss(_shift_nonneg(rows))
+    return det_poly(_shift_nonneg(rows))
 
 
 def det_full(mat: AlexMatrix) -> LaurentPoly:
@@ -370,7 +415,7 @@ def det_full(mat: AlexMatrix) -> LaurentPoly:
     genuine diagram; exposed so tests can assert exactly that."""
     if mat.n_rows != mat.n_cols:
         raise ValueError("full determinant of a non-square matrix")
-    return det_bareiss(_shift_nonneg([list(r) for r in mat.rows]))
+    return det_poly(_shift_nonneg([list(r) for r in mat.rows]))
 
 
 # ---------------------------------------------------------------------------

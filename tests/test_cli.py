@@ -286,6 +286,14 @@ def test_unknown_name_exits_nonzero(capsys):
     assert err.startswith("error:")
 
 
+def test_diagram_without_crossings_is_a_named_error(capsys):
+    rc, out, err = run(capsys, "alexander", "PD[]")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "without crossings" in err
+
+
 def test_composite_explicit_p_rejected(capsys):
     rc, _, err = run(capsys, "color", "3_1", "--p", "9", "--m", "2", "--min")
     assert rc == 1

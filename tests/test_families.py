@@ -119,7 +119,7 @@ def test_torus_alexander_shape(a, b):
     assert lspace_pattern_check(poly)
 
 
-@pytest.mark.parametrize("a,b", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)])
+@pytest.mark.parametrize("a,b", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (5, 9), (7, 8)])
 def test_torus_diagram_matches_formula(a, b):
     tp = TorusParams(a, b)
     assert _reduced(torus_diagram(tp)) == torus_alexander(tp)
@@ -213,7 +213,7 @@ def test_pretzel_diagram_shape(a, arcs):
     assert len(d.crossings) == a + 5
 
 
-@pytest.mark.parametrize("a", [3, 5, 7])
+@pytest.mark.parametrize("a", [3, 5, 7, 21, 41])
 def test_pretzel_diagram_matches_formula(a):
     pp = PretzelParams(a)
     assert _reduced(pretzel_diagram(pp)) == pretzel_alexander(pp)

@@ -1,22 +1,34 @@
 """Exact Laurent-polynomial arithmetic and the determinant pipeline."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfox import (
+    DiagramError,
     InexactDivisionError,
     LaurentPoly,
     NormalizationError,
     alexander_matrix,
+    build_diagram,
     exact_div,
     first_minor,
     get_diagram,
+    parse_pd,
     parse_poly,
     reduce_normalize,
     unit_equivalent,
 )
-from qfox.laurent import det_bareiss, det_cofactor, det_full, normalize_unit
+from qfox.laurent import (
+    _newton_expand,
+    _shift_nonneg,
+    det_full,
+    det_int,
+    det_poly,
+    normalize_unit,
+)
+
+from oracles import det_bareiss, det_cofactor
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.one()
@@ -165,6 +177,54 @@ def test_bareiss_known_2x2():
     assert det_bareiss(rows) == parse_poly("2 + t")
 
 
+_CELL = st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3)), max_size=3)
+
+
+@st.composite
+def _laurent_matrices(draw):
+    """Square matrices up to 5x5 of sparse entries with exponents in -2..2;
+    sometimes singular, with the last row a multiple of the first."""
+    n = draw(st.integers(0, 5))
+    rows = [[LaurentPoly.from_terms(draw(_CELL)) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        k = LaurentPoly.from_terms(draw(_CELL))
+        rows[-1] = [k * e for e in rows[0]]
+    return rows
+
+
+_T2, _TINV = T * T, LaurentPoly.monomial(1, -1)
+
+
+@given(_laurent_matrices())
+@example([])
+@example([[T, ONE], [ONE, LaurentPoly.zero()]])  # pivot t vanishes at t = 0
+@example([[ONE - T, T], [T, ONE - _T2]])  # pivot 1 - t vanishes at t = 1
+@example([[_T2 - T - ONE.scale(2), ONE, T], [ONE, T, ONE], [T, ONE, _T2]])  # t = 2
+@example([[_TINV, _T2], [_T2, _TINV * _TINV]])
+@example([[T, ONE], [_T2, T]])  # singular
+@settings(max_examples=150, deadline=None)
+def test_interpolated_det_matches_oracles(rows):
+    shifted = _shift_nonneg(rows)
+    det = det_poly(shifted)
+    assert det == det_bareiss(shifted) == det_cofactor(shifted)
+    # The shift multiplied every entry by t^-s, so the determinant by t^(-s n).
+    s = min([e.min_exp for r in rows for e in r if not e.is_zero] + [0])
+    assert det.shifted(s * len(rows)) == det_cofactor(rows)
+
+
+def test_det_int_small_cases():
+    assert det_int([]) == 1
+    assert det_int([[0, 2], [3, 4]]) == -6  # zero pivot: row swap flips the sign
+    assert det_int([[1, 2], [2, 4]]) == 0
+    assert det_int([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]) == 4
+
+
+def test_newton_expand_rejects_non_integer_polynomial():
+    assert _newton_expand([1, 3, 7]) == (1, 1, 1)  # 1 + x + x^2
+    with pytest.raises(InexactDivisionError):
+        _newton_expand([0, 0, 1])  # x(x - 1)/2
+
+
 # -- the diagram pipeline ---------------------------------------------------
 
 
@@ -212,6 +272,28 @@ def test_minor_choice_is_unit_irrelevant():
         for r in range(n):
             for c in range(n):
                 assert unit_equivalent(base, first_minor(mat, r, c)), (name, r, c)
+
+
+@pytest.mark.parametrize("name", ["3_1", "4_1", "7_3", "L4a1_1", "T_3_4"])
+def test_first_minor_equals_polynomial_bareiss(name):
+    """Exactly the Z[t] Bareiss polynomial, min_exp included, for every
+    choice of deleted row and column."""
+    mat = alexander_matrix(get_diagram(name))
+    for r in range(mat.n_rows):
+        for c in range(mat.n_cols):
+            rows = [
+                [e for j, e in enumerate(row) if j != c]
+                for i, row in enumerate(mat.rows)
+                if i != r
+            ]
+            assert first_minor(mat, r, c) == det_bareiss(_shift_nonneg(rows)), (r, c)
+
+
+def test_first_minor_rejects_empty_and_out_of_range(trefoil):
+    with pytest.raises(DiagramError):
+        first_minor(alexander_matrix(build_diagram(parse_pd("PD[]"))))
+    with pytest.raises(IndexError):
+        first_minor(alexander_matrix(trefoil), drop_row=len(trefoil.crossings))
 
 
 def test_full_determinant_vanishes(trefoil, l4a1):
