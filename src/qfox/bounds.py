@@ -14,6 +14,7 @@ c_k are both negative.  All log computations are exact integer loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import BoundsError, CompositeValueError
@@ -24,11 +25,14 @@ from .laurent import LaurentPoly
 # Primality
 # ---------------------------------------------------------------------------
 
-# Strong-pseudoprime tests against these witnesses are conclusive below the
-# Sorenson-Webster threshold; beyond it the answer is only probabilistic.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Trial division by the witnesses, then one base-2 strong test.  For
+# 2^64 <= n < psi_13 strong tests to the other witnesses, all 13 primes up
+# to 41, make the answer proven (Sorenson-Webster, Math. Comp. 86, 2017).
+# Every other n gets a strong Lucas test, completing Baillie-PSW: proven
+# below 2^64, where no base-2 strong pseudoprime is a strong Lucas
+# pseudoprime (Feitsma-Galway enumeration), and only probable from psi_13 on.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
-_MR_EXTRA_ROUNDS = 64
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -49,23 +53,67 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 1 with Selfridge's parameters: D is the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4."""
+    if isqrt(n) ** 2 == n:
+        return False        # no D would have (D/n) = -1
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0 and abs(d) != n:
+            return False    # gcd(D, n) is a proper factor
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    # n + 1 = k * 2^s with k odd; U_k, V_k and Q^k by the doubling formulas
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    k = (n + 1) >> s
+    u, v, qk = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (d * u + v) % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if not all(_strong_probable_prime(n, a) for a in _MR_WITNESSES):
+    if not _strong_probable_prime(n, 2):
         return False
-    if n < MR_DETERMINISTIC_BELOW:
-        return True
-    import random
-
-    rng = random.Random(n)
-    return all(
-        _strong_probable_prime(n, rng.randrange(2, n - 1))
-        for _ in range(_MR_EXTRA_ROUNDS)
-    )
+    if 1 << 64 <= n < MR_DETERMINISTIC_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES[1:])
+    return _strong_lucas_probable_prime(n)
 
 
 def is_odd_prime(n: int) -> bool:
@@ -73,7 +121,8 @@ def is_odd_prime(n: int) -> bool:
 
 
 def probable_only(n: int) -> bool:
-    """True when primality of n rests on unverified random witnesses."""
+    """True when primality of n rests on Baillie-PSW alone, which is
+    unproven from the Sorenson-Webster threshold on."""
     return n >= MR_DETERMINISTIC_BELOW
 
 

@@ -1,5 +1,8 @@
 """Primality, digit counting, and the two lower bounds."""
 
+import random
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +23,7 @@ from qfox import (
     require_odd_prime,
     smallest_prime_factor,
 )
-from qfox.bounds import floor_log, probable_only
+from qfox.bounds import _strong_lucas_probable_prime, floor_log, probable_only
 from qfox.laurent import alexander_matrix, first_minor, reduce_normalize
 
 TREFOIL_POLY = parse_poly("1 - t + t^2")
@@ -31,25 +34,99 @@ P10_145 = parse_poly("1 + t - 3t^2 + t^3 + t^4")
 # -- primality ----------------------------------------------------------------
 
 
+# Base-2 strong pseudoprimes below 10^5 (OEIS A001262).
+SPSP2 = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633,
+         65281, 74665, 80581, 85489, 88357, 90751)
+# Strong Lucas pseudoprimes below 10^5, Selfridge's parameters (OEIS A217255).
+SLPSP = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+         75077, 97439)
+# psi_k: the least odd composite passing strong tests to the first k prime
+# bases (OEIS A014233); psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
+PSI_12_FACTOR = 399165290221
+
+
 def test_small_primes_and_composites():
-    primes = {3, 5, 7, 11, 13, 151, 211, 577, 937}
+    primes = {3, 5, 7, 11, 13, 41, 43, 151, 211, 577, 937}
     for n in primes:
         assert is_odd_prime(n)
-    for n in (1, 2, 4, 9, 15, 39, 91, 561, 41041):   # includes Carmichael numbers
+    # Carmichael numbers included
+    for n in (1, 2, 4, 9, 15, 39, 91, 561, 41041, 825265, 321197185, *SPSP2, *SLPSP):
         assert not is_odd_prime(n)
+    for n in SLPSP:
+        assert _strong_lucas_probable_prime(n)
 
 
 def test_large_prime_deterministic_range():
     assert is_odd_prime((1 << 61) - 1)
     assert not is_odd_prime((1 << 67) - 1)   # 193707721 * 761838257287
     assert not probable_only((1 << 61) - 1)
+    assert not probable_only(PSI[12] - 1)
+    for n in PSI[:12]:
+        assert not is_odd_prime(n)
+
+
+def test_psi12_is_composite():
+    # passes the strong tests to the twelve prime bases up to 37
+    n = PSI[11]
+    assert not is_odd_prime(n)
+    assert not probable_only(n)
+    assert smallest_prime_factor(n) == PSI_12_FACTOR
+    with pytest.raises(CompositeValueError) as exc:
+        require_odd_prime(n)
+    assert exc.value.factor == PSI_12_FACTOR
 
 
 def test_probable_only_flag_past_threshold():
-    # primality of huge values is still decided, but flagged as probabilistic
-    n = (1 << 89) - 1   # Mersenne prime
-    assert is_odd_prime(n)
-    assert probable_only(n)
+    # primality of huge values is still decided, but flagged as probable only
+    for e in (89, 107, 127):   # Mersenne primes
+        n = (1 << e) - 1
+        assert is_odd_prime(n)
+        assert probable_only(n)
+    assert not is_odd_prime(PSI[12])
+
+
+# sympy is a test oracle only; qfox itself never imports it.
+
+
+def test_is_odd_prime_matches_sympy_below_2e5():
+    sympy = pytest.importorskip("sympy")
+    for n in range(200_000):
+        assert is_odd_prime(n) == (n != 2 and sympy.isprime(n)), n
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(3, 1 << 64), (1 << 64, PSI[12]), (PSI[12], 1 << 256)],
+    ids=["below-2^64", "2^64-to-psi13", "psi13-to-2^256"],
+)
+def test_is_odd_prime_matches_sympy_per_regime(lo, hi):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(lo)
+    values = [rng.randrange(lo, hi) | 1 for _ in range(2000)]
+    # random odd values are mostly composite; the primes that follow them
+    # take the full pipeline
+    values += [sympy.nextprime(v) for v in values[:100]]
+    for n in values:
+        assert is_odd_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("bound", [1 << 64, PSI[12]], ids=["2^64", "psi13"])
+def test_semiprimes_straddling_thresholds_rejected(bound):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(bound)
+    root = isqrt(bound)
+    straddle = set()
+    for _ in range(100):
+        p = sympy.nextprime(rng.randrange(root // 2, 2 * root))
+        q = sympy.nextprime(rng.randrange(root // 2, 2 * root))
+        assert is_odd_prime(p) and is_odd_prime(q)
+        assert not is_odd_prime(p * q), (p, q)
+        straddle.add(p * q < bound)
+    assert straddle == {True, False}
 
 
 def test_smallest_prime_factor():
