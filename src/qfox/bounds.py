@@ -35,14 +35,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
 
 
-def _strong_probable_prime(n: int, a: int) -> bool:
+def _strong_probable_prime(n: int, a: int, d: int, r: int) -> bool:
+    """Strong test of odd n to base a, with n - 1 = d * 2^r and d odd."""
     if a % n == 0:
         return True
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return True
@@ -109,10 +105,12 @@ def _is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if not _strong_probable_prime(n, 2):
+    r = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> r
+    if not _strong_probable_prime(n, 2, d, r):
         return False
     if 1 << 64 <= n < MR_DETERMINISTIC_BELOW:
-        return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES[1:])
+        return all(_strong_probable_prime(n, a, d, r) for a in _MR_WITNESSES[1:])
     return _strong_lucas_probable_prime(n)
 
 

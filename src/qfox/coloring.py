@@ -7,12 +7,15 @@ for prime n everything reduces to linear algebra over a field.
 
 Minimum-color search walks the non-trivial kernel vectors up to the affine
 action  v -> a v + b  (a unit, b anything), which preserves both validity
-and the number of distinct colors.  Each affine class has one canonical
-representative: first entry 0, first entry differing from it 1.
+and the number of distinct colors.  One vector per affine class is visited,
+stepping from one to the next by a single vector addition, and colors are
+counted on it as it stands; only the returned witness is put in canonical
+form: first entry 0, first entry differing from it 1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
@@ -20,7 +23,7 @@ from math import gcd
 from .diagram import Diagram
 from .errors import ColoringError
 from .laurent import alexander_matrix, det_int
-from .bounds import is_odd_prime
+from .bounds import is_odd_prime, kl_lower_bound
 
 
 @dataclass(frozen=True)
@@ -179,19 +182,21 @@ def is_nontrivially_colorable(d: Diagram, params: QuandleParams, reduced=None) -
 # ---------------------------------------------------------------------------
 
 
-def _affine_canonical(v: tuple[int, ...], p: int) -> tuple[int, ...]:
+def _affine_canonical(v: Sequence[int], p: int) -> tuple[int, ...]:
     """Representative of the affine class of a non-constant vector:
     first coordinate 0, first differing coordinate 1."""
     base = v[0]
     j = next((i for i, x in enumerate(v) if x != base), None)
     if j is None:
-        raise ValueError("constant vector has no canonical form")
+        raise ColoringError("constant vector has no canonical form")
     scale = pow((v[j] - base) % p, -1, p)
     return tuple(((x - base) * scale) % p for x in v)
 
 
 def _orbit_representatives(d: Diagram, params: QuandleParams):
-    """Yield one canonical coloring vector per affine class."""
+    """Yield one coloring vector per affine class of non-constant colorings,
+    as a list that is never changed after it is yielded.  Vectors are not in
+    canonical form; pass the one kept to _affine_canonical."""
     p = params.n
     if not is_odd_prime(p):
         raise ColoringError(f"orbit search needs an odd prime modulus, got {p}")
@@ -208,16 +213,23 @@ def _orbit_representatives(d: Diagram, params: QuandleParams):
         raise ColoringError("internal inconsistency: constant vectors not in kernel")
     lead = next(i for i, c in enumerate(coeffs) if c != 0)
     rest = [b for i, b in enumerate(basis) if i != lead]
-    k = len(rest)
-    for j in range(k):
-        for tail in product(range(p), repeat=k - j - 1):
-            mu = (0,) * j + (1,) + tail
-            v = [0] * q
-            for c, b in zip(mu, rest[j:]):
+    last = rest[-1]
+    # Projective class j: coefficient 1 on rest[j], 0 before it, and every
+    # coefficient tuple after it in product order, the last one fastest.
+    # Each prefix combination is built once; the last coefficient then
+    # steps by adding rest[-1].  The final class is rest[-1] alone.
+    for j in range(len(rest) - 1):
+        middle = rest[j + 1:-1]
+        for prefix in product(range(p), repeat=len(middle)):
+            v = list(rest[j])
+            for c, b in zip(prefix, middle):
                 if c:
-                    for i, x in enumerate(b):
-                        v[i] = (v[i] + c * x) % p
-            yield _affine_canonical(tuple(v), p)
+                    v = [(x + c * y) % p for x, y in zip(v, b)]
+            yield v
+            for _ in range(p - 1):
+                v = [(x + y) % p for x, y in zip(v, last)]
+                yield v
+    yield list(last)
 
 
 def _solve_in_span(basis: list[tuple[int, ...]], target: tuple[int, ...], p: int):
@@ -240,10 +252,12 @@ def _solve_in_span(basis: list[tuple[int, ...]], target: tuple[int, ...], p: int
 def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Coloring]:
     """Fewest distinct colors over all non-trivial colorings of this diagram.
 
-    Raises when no non-trivial coloring exists.  The returned witness is the
-    first canonical representative attaining the minimum.
+    Raises when no non-trivial coloring exists, and when a knot's minimum is
+    below the Kauffman-Lopes bound, which the theory forbids.  The returned
+    witness is the canonical form of the first representative attaining the
+    minimum.
     """
-    best: tuple[int, tuple[int, ...]] | None = None
+    best: tuple[int, list[int]] | None = None
     for v in _orbit_representatives(d, params):
         count = len(set(v))
         if best is None or count < best[0]:
@@ -252,8 +266,18 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
         raise ColoringError(
             f"no non-trivial coloring of {d.name or 'diagram'} for n={params.n}, m={params.m}"
         )
-    coloring = Coloring(params.n, params.m, dict(zip(d.arcs, best[1])))
-    return best[0], coloring
+    count, v = best
+    p, m = params.n, params.m
+    # Links are left out: a split link has 2-color colorings.
+    if d.components == 1 and max(abs(m), abs(m - 1)) >= 2:
+        kl = kl_lower_bound(p, m)
+        if count < kl:
+            raise ColoringError(
+                f"internal inconsistency: {count} colors is below the "
+                f"Kauffman-Lopes bound {kl} for p={p}, m={m}"
+            )
+    coloring = Coloring(p, m, dict(zip(d.arcs, _affine_canonical(v, p))))
+    return count, coloring
 
 
 def coloring_from_anchors(
@@ -323,23 +347,6 @@ def enumerate_colorings_brute(d: Diagram, params: QuandleParams) -> set[tuple[in
     return out
 
 
-def kernel_vectors(d: Diagram, params: QuandleParams) -> set[tuple[int, ...]]:
-    """All colorings via the kernel (prime modulus): span of the basis."""
-    mat = coloring_matrix(d, params)
-    basis = kernel_basis(mat)
-    p = params.n
-    q = len(mat.arc_labels)
-    out = set()
-    for coeffs in product(range(p), repeat=len(basis)):
-        v = [0] * q
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(b):
-                    v[i] = (v[i] + c * x) % p
-        out.add(tuple(v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # All-arcs-distinct colorings
 # ---------------------------------------------------------------------------
@@ -376,7 +383,7 @@ def kh_witness(
     q = len(d.arcs)
     for v in _orbit_representatives(d, params):
         if len(set(v)) == q:
-            return Coloring(p, m, dict(zip(d.arcs, v)))
+            return Coloring(p, m, dict(zip(d.arcs, _affine_canonical(v, p))))
     return None
 
 
@@ -418,24 +425,30 @@ class CollapseReport:
 
 def _pivot_rows_rational(rows: list[list[int]]) -> list[int]:
     """Original indices of a maximal independent row set, chosen by Gaussian
-    elimination over the rationals in row order."""
-    from fractions import Fraction
+    elimination over the rationals in row order.
 
-    m = [[Fraction(v) for v in r] for r in rows]
+    The elimination runs in integers: row_i becomes piv * row_i - f * row_r,
+    divided by its content.  Each row stays a non-zero multiple of its
+    rational counterpart, so the zero pattern and the pivots are the same.
+    """
+    m = [list(r) for r in rows]
     orig = list(range(len(m)))
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        sel = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
         orig[r], orig[sel] = orig[sel], orig[r]
+        piv = m[r][col]
         for i in range(r + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col] / m[r][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][col]
+            if f:
+                row = [piv * a - f * b for a, b in zip(m[i], m[r])]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(orig[r])
         r += 1
     return pivots

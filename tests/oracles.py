@@ -1,10 +1,17 @@
-"""Reference determinants over Z[t], kept as oracles for the tests.
+"""Reference computations kept as oracles for the tests.
 
-Neither runs in the package: first minors are computed by evaluation and
-interpolation (qfox.laurent.det_poly).  These compute the same polynomial
-directly, by fraction-free elimination over Z[t] and by cofactor expansion.
+None of them runs in the package.  First minors are computed by evaluation
+and interpolation (qfox.laurent.det_poly); det_bareiss and det_cofactor
+compute the same polynomial directly, by fraction-free elimination over
+Z[t] and by cofactor expansion.  kernel_vectors lists every coloring that
+the orbit search walks up to the affine action, and pivot_rows_fraction is
+the Fraction elimination behind the integer one in collapse_and_check.
 """
 
+from fractions import Fraction
+from itertools import product
+
+from qfox.coloring import coloring_matrix, kernel_basis
 from qfox.laurent import LaurentPoly, exact_div
 
 
@@ -48,3 +55,43 @@ def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         term = head * det_cofactor(sub)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def kernel_vectors(d, params) -> set[tuple[int, ...]]:
+    """All colorings via the kernel (prime modulus): span of the basis."""
+    mat = coloring_matrix(d, params)
+    basis = kernel_basis(mat)
+    p = params.n
+    q = len(mat.arc_labels)
+    out = set()
+    for coeffs in product(range(p), repeat=len(basis)):
+        v = [0] * q
+        for c, b in zip(coeffs, basis):
+            if c:
+                for i, x in enumerate(b):
+                    v[i] = (v[i] + c * x) % p
+        out.add(tuple(v))
+    return out
+
+
+def pivot_rows_fraction(rows: list[list[int]]) -> list[int]:
+    """Original indices of a maximal independent row set, chosen by Gaussian
+    elimination over Fraction in row order."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    orig = list(range(len(m)))
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        sel = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        orig[r], orig[sel] = orig[sel], orig[r]
+        for i in range(r + 1, len(m)):
+            if m[i][col]:
+                f = m[i][col] / m[r][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(orig[r])
+        r += 1
+    return pivots

@@ -42,7 +42,7 @@ from qfox import (
     unit_equivalent,
     verify_coloring,
 )
-from qfox.coloring import kernel_vectors
+from oracles import kernel_vectors
 
 TABLE1 = [(2, 3), (3, 7), (4, 13), (6, 31), (7, 43), (9, 73), (13, 157), (15, 211)]
 TABLE2 = [(2, 5), (4, 17), (6, 37), (10, 101), (14, 197), (16, 257), (20, 401), (24, 577)]

@@ -171,6 +171,24 @@ def test_color_min_pretzel_auto_prime(capsys):
     assert payload["p_auto"] is True
 
 
+GRANNY = "PD[X[3,1,4,12],X[1,5,2,4],X[5,3,6,2],X[6,10,7,9],X[10,8,11,7],X[8,12,9,11]]"
+
+
+def test_color_min_granny_knot_kernel_dim_3(capsys, tmp_path):
+    # 3_1 # 3_1 as the closure of s1^3 s2^3: the kernel mod 3 has dimension 3
+    assert run_json(capsys, "color", GRANNY, "--p", "3", "--m", "2")["kernel_dim"] == 3
+    rc, out, err = run(capsys, "color", GRANNY, "--m", "2", "--p", "3", "--min")
+    assert rc == 0, err
+    assert "minimum distinct colors on this diagram: 3" in out
+    payload = run_json(capsys, "color", GRANNY, "--m", "2", "--p", "3", "--min")
+    assert payload["min_colors"] == 3
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(payload["witness"]), encoding="utf-8")
+    rc, out, _ = run(capsys, "color", GRANNY, "--verify", str(witness))
+    assert rc == 0 and "coloring: valid" in out
+    assert len(set(payload["witness"]["colors"].values())) == 3
+
+
 def test_color_kernel_summary(capsys):
     payload = run_json(capsys, "color", "3_1", "--p", "3", "--m", "2")
     assert payload["kernel_dim"] == 2

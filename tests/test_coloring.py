@@ -3,29 +3,37 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfox import (
     Coloring,
     ColoringError,
     QuandleParams,
+    alexander_matrix,
     collapse_and_check,
     coloring_from_anchors,
     coloring_matrix,
     enumerate_colorings_brute,
+    first_minor,
     get_diagram,
     is_nontrivially_colorable,
     kernel_basis,
     kh_check,
     kh_witness,
+    kl_lower_bound,
+    load_registry,
     min_colors_on_diagram,
     quandle_op,
     quandle_op_inv,
+    reduce_normalize,
+    smallest_prime_factor,
     verify_coloring,
 )
-from qfox.coloring import kernel_vectors, rank
-from qfox.families import pretzel_diagram, PretzelParams, torus_diagram, TorusParams
+from qfox import coloring
+from qfox.coloring import _affine_canonical, _orbit_representatives, _pivot_rows_rational, rank
+from oracles import kernel_vectors, pivot_rows_fraction
+from qfox.families import braid_closure, pretzel_diagram, PretzelParams, torus_diagram, TorusParams
 
 
 def valid_params():
@@ -334,3 +342,139 @@ def test_every_minimum_respects_log_bound(case):
         v *= big_m
         fl += 1
     assert count >= 2 + fl
+
+
+# -- kernel dimension >= 3: connected sums ----------------------------------------------------
+
+
+def _sum(*ns):
+    """T(2, n_1) # ... # T(2, n_k) as the closure of s_1^n_1 s_2^n_2 ..."""
+    return braid_closure([i + 1 for i, n in enumerate(ns) for _ in range(n)])
+
+
+# (summands, p, m, kernel dimension): p divides the value of T(2, n) at m
+SUMS = [
+    ((3, 3), 3, 2, 3),
+    ((3, 3), 7, 3, 3),
+    ((5, 5), 11, 2, 3),
+    ((3, 3, 3), 3, 2, 4),
+]
+
+
+def _nonconstant(vectors):
+    return [v for v in vectors if len(set(v)) > 1]
+
+
+@pytest.mark.parametrize("ns,p,m,dim", SUMS)
+def test_min_colors_of_sums_match_kernel_oracle(ns, p, m, dim):
+    d = _sum(*ns)
+    params = QuandleParams(p, m)
+    vectors = kernel_vectors(d, params)
+    assert len(vectors) == p**dim
+    count, witness = min_colors_on_diagram(d, params)
+    assert count == min(len(set(v)) for v in _nonconstant(vectors))
+    assert witness.distinct == count
+    assert verify_coloring(d, witness)
+    assert collapse_and_check(d, witness).ok
+
+
+@pytest.mark.parametrize("ns,p,m,dim", SUMS)
+def test_orbit_representatives_are_one_per_affine_class(ns, p, m, dim):
+    d = _sum(*ns)
+    params = QuandleParams(p, m)
+    reps = [tuple(v) for v in _orbit_representatives(d, params)]
+    assert len(reps) == (p ** (dim - 1) - 1) // (p - 1)
+    canon = {_affine_canonical(v, p) for v in reps}
+    assert len(canon) == len(reps)      # pairwise affine-inequivalent
+    every = {_affine_canonical(v, p) for v in _nonconstant(kernel_vectors(d, params))}
+    assert canon == every
+
+
+def test_affine_canonical_rejects_constant_vector():
+    with pytest.raises(ColoringError, match="constant vector"):
+        _affine_canonical((4, 4, 4), 7)
+    assert _affine_canonical((3, 5, 3), 7) == (0, 1, 0)
+
+
+# -- the Kauffman-Lopes bound as an invariant of the search ------------------------------------
+
+
+def _registry_knot_cases():
+    for name in sorted(load_registry()):
+        d = get_diagram(name)
+        if d.components != 1:
+            continue
+        red = reduce_normalize(first_minor(alexander_matrix(d)), components=1)
+        for m in (-1, 2, 3, 4, 5):
+            value = abs(red.evaluate(m))
+            while value > 1:
+                p = smallest_prime_factor(value)
+                while value % p == 0:
+                    value //= p
+                if p > 2 and m % p not in (0, 1):
+                    yield d, p, m
+
+
+def test_minimum_never_below_kl_on_registry_knots_and_workload_sums():
+    cases = list(_registry_knot_cases())
+    # every T(2, n) sum of the orbit_search benchmark workload, at m = 2
+    t2_prime = {3: 3, 5: 11, 7: 43, 11: 683, 13: 2731}
+    for n, copies in [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2),
+                      (7, 3), (5, 4), (13, 2), (11, 2), (7, 4), (5, 5)]:
+        cases.append((_sum(*[n] * copies), t2_prime[n], 2))
+    assert len(cases) > 40
+    for d, p, m in cases:
+        count, _ = min_colors_on_diagram(d, QuandleParams(p, m))
+        assert count >= kl_lower_bound(p, m)
+
+
+def test_minimum_below_kl_raises_for_knots_only(trefoil, l4a1, monkeypatch):
+    monkeypatch.setattr(coloring, "kl_lower_bound", lambda p, m: 99)
+    with pytest.raises(ColoringError, match="internal inconsistency"):
+        min_colors_on_diagram(trefoil, QuandleParams(3, 2))
+    with pytest.raises(ColoringError, match="internal inconsistency"):
+        min_colors_on_diagram(_sum(3, 3), QuandleParams(7, 3))
+    # links are exempt: a split link has 2-color colorings
+    assert min_colors_on_diagram(l4a1, QuandleParams(5, 2))[0] == 4
+
+
+# -- integer pivots against the Fraction oracle -------------------------------------------------
+
+
+@st.composite
+def pivot_matrices(draw):
+    """Integer matrices up to 8x6, often with zero rows, zero columns,
+    duplicated rows or rows that combine others."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if not rows:
+        return rows
+    index = st.integers(0, nrows - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero_row", "zero_col", "dup", "combine"]))
+        i, j, k = draw(index), draw(index), draw(index)
+        if kind == "zero_row":
+            rows[i] = [0] * ncols
+        elif kind == "zero_col":
+            c = draw(st.integers(0, ncols - 1))
+            for row in rows:
+                row[c] = 0
+        elif kind == "dup":
+            rows[i] = list(rows[j])
+        else:
+            a, b = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_matrices())
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[1, 2], [2, 4], [3, 6]])
+@example([[0, 1, 2], [0, 2, 4], [0, 0, 0], [0, 3, 7]])
+@example([[2, 4, 6], [1, 2, 3], [1, 3, 5], [0, 1, 2]])
+@example([[6, 10, 15], [3, 5, 7], [9, 15, 22], [12, 20, 30]])
+def test_integer_pivots_match_fraction_oracle(rows):
+    assert _pivot_rows_rational(rows) == pivot_rows_fraction(rows)
