@@ -106,6 +106,12 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _print_csv(hits: list[tuple[int, int]]) -> None:
+    print("m,value")
+    for m, v in hits:
+        print(f"{m},{v}")
+
+
 def _range(spec: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition("..")
     if not sep:
@@ -165,9 +171,7 @@ def cmd_bounds(args) -> int:
         lo, hi = _range(args.scan)
         hits = prime_scan(red, lo, hi)
         if args.format == "csv":
-            print("m,value")
-            for m, v in hits:
-                print(f"{m},{v}")
+            _print_csv(hits)
             return 0
         payload = {
             "command": "bounds",
@@ -392,9 +396,7 @@ def cmd_scan(args) -> int:
     lo, hi = _range(args.range)
     hits = prime_scan(red, lo, hi)
     if args.format == "csv":
-        print("m,value")
-        for m, v in hits:
-            print(f"{m},{v}")
+        _print_csv(hits)
         return 0
     payload = {
         "command": "scan",

@@ -22,7 +22,7 @@ from math import gcd
 
 from .diagram import Diagram
 from .errors import ColoringError
-from .laurent import alexander_matrix, det_int
+from .laurent import alexander_matrix, bareiss, first_minor, reduce_normalize, relation_rows
 from .bounds import is_odd_prime, kl_lower_bound
 
 
@@ -75,12 +75,23 @@ class Coloring:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Coloring":
-        return cls(
-            n=data["p"],
-            m=data["m"],
-            colors={int(a): c for a, c in data["colors"].items()},
-        )
+    def from_json(cls, data) -> "Coloring":
+        """Read the to_json form; any other shape raises ColoringError."""
+        if not (
+            isinstance(data, dict)
+            and type(data.get("p")) is int
+            and type(data.get("m")) is int
+            and isinstance(data.get("colors"), dict)
+            and all(type(c) is int for c in data["colors"].values())
+        ):
+            raise ColoringError(
+                'a coloring must look like {"p": int, "m": int, "colors": {"arc": int, ...}}'
+            )
+        try:
+            colors = {int(a): c for a, c in data["colors"].items()}
+        except ValueError as exc:
+            raise ColoringError(f"coloring arc labels must be integers: {exc}") from exc
+        return cls(n=data["p"], m=data["m"], colors=colors)
 
 
 @dataclass(frozen=True)
@@ -94,11 +105,9 @@ class ModMatrix:
 
 def coloring_matrix(d: Diagram, params: QuandleParams) -> ModMatrix:
     """Relation matrix over Z_n whose kernel is the space of colorings."""
-    alex = alexander_matrix(d)
-    rows = tuple(
-        tuple(e.evaluate(params.m) % params.n for e in row) for row in alex.rows
-    )
-    return ModMatrix(rows=rows, modulus=params.n, arc_labels=alex.arc_labels)
+    n = params.n
+    rows = tuple(tuple(x % n for x in row) for row in relation_rows(d, params.m))
+    return ModMatrix(rows=rows, modulus=n, arc_labels=tuple(d.arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +143,6 @@ def _row_reduce(rows: list[list[int]], p: int) -> tuple[list[tuple[int, int]], l
 def _require_prime_modulus(p: int) -> None:
     if not is_odd_prime(p) and p != 2:
         raise ColoringError(f"kernel computation needs a prime modulus, got {p}")
-
-
-def rank(mat: ModMatrix) -> int:
-    _require_prime_modulus(mat.modulus)
-    pivots, _ = _row_reduce([list(r) for r in mat.rows], mat.modulus)
-    return len(pivots)
 
 
 def kernel_basis(mat: ModMatrix) -> list[tuple[int, ...]]:
@@ -198,21 +201,16 @@ def _orbit_representatives(d: Diagram, params: QuandleParams):
     as a list that is never changed after it is yielded.  Vectors are not in
     canonical form; pass the one kept to _affine_canonical."""
     p = params.n
-    if not is_odd_prime(p):
-        raise ColoringError(f"orbit search needs an odd prime modulus, got {p}")
-    mat = coloring_matrix(d, params)
-    basis = kernel_basis(mat)
+    basis = kernel_basis(coloring_matrix(d, params))
     if len(basis) < 2:
         return
-    q = len(mat.arc_labels)
-    ones = tuple([1] * q)
-    # Rebase so the all-ones vector is the first basis element; quotienting
-    # by it then turns affine classes into projective classes.
-    coeffs = _solve_in_span(basis, ones, p)
-    if coeffs is None:
+    # Each basis vector is 1 on its own free column and 0 on the other free
+    # columns, so the all-ones vector, which is always in the kernel, is the
+    # sum of the basis.  It can then replace basis[0], and quotienting by it
+    # turns affine classes into projective classes of the span of the rest.
+    if any(sum(col) % p != 1 for col in zip(*basis)):
         raise ColoringError("internal inconsistency: constant vectors not in kernel")
-    lead = next(i for i, c in enumerate(coeffs) if c != 0)
-    rest = [b for i, b in enumerate(basis) if i != lead]
+    rest = basis[1:]
     last = rest[-1]
     # Projective class j: coefficient 1 on rest[j], 0 before it, and every
     # coefficient tuple after it in product order, the last one fastest.
@@ -230,23 +228,6 @@ def _orbit_representatives(d: Diagram, params: QuandleParams):
                 v = [(x + y) % p for x, y in zip(v, last)]
                 yield v
     yield list(last)
-
-
-def _solve_in_span(basis: list[tuple[int, ...]], target: tuple[int, ...], p: int):
-    """Coefficients expressing target in the span of basis, or None."""
-    if not basis:
-        return None
-    q = len(target)
-    rows = [[basis[j][i] for j in range(len(basis))] + [target[i]] for i in range(q)]
-    pivots, red = _row_reduce(rows, p)
-    coeffs = [0] * len(basis)
-    for (_, col), row in zip(pivots, red):
-        if col == len(basis):
-            return None  # inconsistent system
-    # Back-read: after RREF each pivot row gives coeff[col] = rhs.
-    for i, (_, col) in enumerate(pivots):
-        coeffs[col] = red[i][len(basis)]
-    return coeffs
 
 
 def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Coloring]:
@@ -332,21 +313,6 @@ def verify_coloring(d: Diagram, coloring: Coloring) -> bool:
     return True
 
 
-def enumerate_colorings_brute(d: Diagram, params: QuandleParams) -> set[tuple[int, ...]]:
-    """All colorings by exhaustive search over n^q assignments.
-
-    Exponential; exists as an independent oracle for the linear-algebra
-    route and is only run on tiny inputs.
-    """
-    q = len(d.arcs)
-    out = set()
-    for v in product(range(params.n), repeat=q):
-        c = Coloring(params.n, params.m, dict(zip(d.arcs, v)))
-        if verify_coloring(d, c):
-            out.add(v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # All-arcs-distinct colorings
 # ---------------------------------------------------------------------------
@@ -371,8 +337,6 @@ def kh_witness(
         raise ColoringError(f"kh_check needs an odd prime modulus, got {p}")
     if not 1 < m < p:
         raise ColoringError(f"kh_check needs 1 < m < p, got m={m}, p={p}")
-    from .laurent import first_minor, reduce_normalize
-
     value = reduce_normalize(
         first_minor(alexander_matrix(d)), d.components
     ).evaluate(m)
@@ -423,37 +387,6 @@ class CollapseReport:
         }
 
 
-def _pivot_rows_rational(rows: list[list[int]]) -> list[int]:
-    """Original indices of a maximal independent row set, chosen by Gaussian
-    elimination over the rationals in row order.
-
-    The elimination runs in integers: row_i becomes piv * row_i - f * row_r,
-    divided by its content.  Each row stays a non-zero multiple of its
-    rational counterpart, so the zero pattern and the pivots are the same.
-    """
-    m = [list(r) for r in rows]
-    orig = list(range(len(m)))
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        orig[r], orig[sel] = orig[sel], orig[r]
-        piv = m[r][col]
-        for i in range(r + 1, len(m)):
-            f = m[i][col]
-            if f:
-                row = [piv * a - f * b for a, b in zip(m[i], m[r])]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(orig[r])
-        r += 1
-    return pivots
-
-
 def collapse_and_check(d: Diagram, coloring: Coloring) -> CollapseReport:
     """Merge equal-colored columns of the integer relation matrix, keep an
     independent set of rows, drop the (zero) summed column, and test the
@@ -469,38 +402,30 @@ def collapse_and_check(d: Diagram, coloring: Coloring) -> CollapseReport:
     if dcount < 2:
         raise ColoringError("non-trivial coloring required")
 
-    # Integer relation matrix, t = m over Z (no reduction).
-    alex = alexander_matrix(d)
-    a_rows = [[e.evaluate(m) for e in row] for row in alex.rows]
-
-    # Color classes ordered by first appearance along the arc order.
-    classes: list[int] = []
+    # Color classes ordered by first appearance along the arc order; the
+    # columns of the integer relation matrix at t = m merge class by class.
     class_of: dict[int, int] = {}
     for arc in d.arcs:
-        c = coloring.colors[arc]
-        if c not in class_of:
-            class_of[c] = len(classes)
-            classes.append(c)
+        class_of.setdefault(coloring.colors[arc], len(class_of))
+    column_class = [class_of[coloring.colors[arc]] for arc in d.arcs]
     merged = []
-    for row, _ in zip(a_rows, alex.rows):
+    for row in relation_rows(d, m):
         out = [0] * dcount
-        for j, arc in enumerate(alex.arc_labels):
-            out[class_of[coloring.colors[arc]]] += row[j]
+        for j, x in zip(column_class, row):
+            out[j] += x
         merged.append(out)
 
-    pivots = _pivot_rows_rational(merged)
+    pivots, det_b, _ = bareiss(merged)
     if len(pivots) != dcount - 1:
         raise ColoringError(
             f"collapsed matrix has rank {len(pivots)}, expected {dcount - 1}"
         )
-    chosen = [merged[i] for i in pivots]
-
-    # Adding every column into the last must zero it: row sums vanish.
-    for row in chosen:
-        if sum(row) != 0:
+    # Rows that sum to 0 make the last column minus the sum of the others,
+    # so the pivot columns are the first d-1, and the last pivot is det B:
+    # B is the pivot rows, in elimination order, without the last column.
+    for i in pivots:
+        if sum(merged[i]) != 0:
             raise ColoringError("internal inconsistency: collapsed row sum is non-zero")
-    b = [row[:-1] for row in chosen]
-    det_b = det_int(b)
     big_m = max(abs(m), abs(m - 1))
     bound = big_m ** (dcount - 1)
     divisible = det_b % p == 0

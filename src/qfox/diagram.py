@@ -15,6 +15,7 @@ order of their smallest edge label.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 import os
 import re
@@ -133,9 +134,10 @@ def render_pd(pd: PdCode) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _edge_components(pd: PdCode) -> list[list[int]]:
-    """Partition edge labels into link components (each a sorted label list)."""
-    parent: dict[int, int] = {}
+def _classes(items: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Union-find: the classes of `items` under the equivalences in `pairs`,
+    each sorted, ordered by their smallest member."""
+    parent = {x: x for x in items}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -143,20 +145,13 @@ def _edge_components(pd: PdCode) -> list[list[int]]:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
+    for x, y in pairs:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
-
-    for a, b, c, d in pd.crossings:
-        for e in (a, b, c, d):
-            parent.setdefault(e, e)
-    for a, b, c, d in pd.crossings:
-        union(a, c)
-        union(b, d)
     groups: dict[int, list[int]] = {}
-    for e in parent:
-        groups.setdefault(find(e), []).append(e)
+    for x in parent:
+        groups.setdefault(find(x), []).append(x)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
@@ -178,7 +173,12 @@ def build_diagram(pd: PdCode, name: str = "") -> Diagram:
     if bad:
         raise DiagramError(f"edge labels must appear exactly twice: {bad}")
 
-    comps = _edge_components(pd)
+    # Components: each crossing joins a to c along the under-strand and b to
+    # d along the over-strand.
+    comps = _classes(
+        counts,
+        [(a, c) for a, _, c, _ in pd.crossings] + [(b, d) for _, b, _, d in pd.crossings],
+    )
     succ: dict[int, int] = {}
     for labels in comps:
         lo, hi = labels[0], labels[-1]
@@ -189,16 +189,6 @@ def build_diagram(pd: PdCode, name: str = "") -> Diagram:
         for e in labels:
             succ[e] = e + 1 if e < hi else lo
 
-    # Arc classes: over-strand edges merge at each crossing.
-    arc_parent: dict[int, int] = {e: e for e in succ}
-
-    def find_arc(x: int) -> int:
-        while arc_parent[x] != x:
-            arc_parent[x] = arc_parent[arc_parent[x]]
-            x = arc_parent[x]
-        return x
-
-    crossings: list[Crossing] = []
     raw: list[tuple[int, ...]] = []
     for idx, (a, b, c, d) in enumerate(pd.crossings):
         if succ[a] != c:
@@ -215,9 +205,6 @@ def build_diagram(pd: PdCode, name: str = "") -> Diagram:
             raise DiagramError(
                 f"crossing {idx}: over-edges {b},{d} are not consecutive"
             )
-        ra, rb = find_arc(b), find_arc(d)
-        if ra != rb:
-            arc_parent[ra] = rb
         raw.append((sign, a, b, c))
 
     # A component that never passes under would leave a closed-loop arc; the
@@ -229,54 +216,19 @@ def build_diagram(pd: PdCode, name: str = "") -> Diagram:
                 f"component with edges {labels} never passes under a crossing"
             )
 
-    classes: dict[int, list[int]] = {}
-    for e in succ:
-        classes.setdefault(find_arc(e), []).append(e)
-    ordered = sorted((min(v) for v in classes.values()))
-    arc_id = {}
-    for i, smallest in enumerate(ordered, start=1):
-        arc_id[smallest] = i
-    edge_arc = {e: arc_id[min(classes[find_arc(e)])] for e in succ}
-
-    for sign, a, b, c in raw:
-        crossings.append(
-            Crossing(sign=sign, under_in=edge_arc[a], over=edge_arc[b], under_out=edge_arc[c])
-        )
+    # Arcs: the two over-edges at every crossing lie on one arc.
+    arcs = _classes(succ, ((b, d) for _, b, _, d in pd.crossings))
+    edge_arc = {e: i for i, edges in enumerate(arcs, start=1) for e in edges}
+    crossings = [
+        Crossing(sign=sign, under_in=edge_arc[a], over=edge_arc[b], under_out=edge_arc[c])
+        for sign, a, b, c in raw
+    ]
     return Diagram(
         name=name,
-        arcs=tuple(range(1, len(classes) + 1)),
+        arcs=tuple(range(1, len(arcs) + 1)),
         crossings=tuple(crossings),
         components=len(comps),
     )
-
-
-def arc_of_edge(pd: PdCode) -> dict[int, int]:
-    """Map each edge label to the arc id build_diagram assigns it."""
-    parent: dict[int, int] = {}
-    for quad in pd.crossings:
-        for e in quad:
-            parent.setdefault(e, e)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, b, _, dd in pd.crossings:
-        rb, rd = find(b), find(dd)
-        if rb != rd:
-            parent[rb] = rd
-    classes: dict[int, list[int]] = {}
-    for e in parent:
-        classes.setdefault(find(e), []).append(e)
-    rank = {m: i + 1 for i, m in enumerate(sorted(min(v) for v in classes.values()))}
-    out: dict[int, int] = {}
-    for edges in classes.values():
-        aid = rank[min(edges)]
-        for e in edges:
-            out[e] = aid
-    return out
 
 
 def validate(d: Diagram) -> list[str]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import json
 from math import factorial
 import re
 from typing import Iterable, Mapping
@@ -260,9 +259,9 @@ def unit_equivalent(p: LaurentPoly, q: LaurentPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlexMatrix:
-    """Relation matrix of a diagram: rows are crossings, columns are arcs.
+def relation_rows(d: Diagram, t: int) -> list[list[int]]:
+    """Relation matrix of a diagram at an integer t: rows are crossings,
+    columns are arcs.
 
     At a positive crossing the outgoing under-arc relation contributes
     t, 1-t, -1 in the columns of the incoming under-arc, the over-arc and
@@ -270,6 +269,31 @@ class AlexMatrix:
     relation scaled by t, which lands on the same three values with the
     under-arc roles swapped.
     """
+    col = {arc: i for i, arc in enumerate(d.arcs)}
+    rows = []
+    for c in d.crossings:
+        row = [0] * len(d.arcs)
+        x_in, x_out = (c.under_in, c.under_out) if c.sign > 0 else (c.under_out, c.under_in)
+        row[col[x_in]] += t
+        row[col[c.over]] += 1 - t
+        row[col[x_out]] -= 1
+        rows.append(row)
+    return rows
+
+
+# Every entry of the relation matrix is a sum of distinct terms among t, 1-t
+# and -1, so its values at t = 0 and t = 1 both lie in {-1, 0, 1}.  Entries
+# share one object per (value at 0, value at 1) pair.  One object per non-zero
+# entry raised the peak memory of the minor_ladder benchmark from 18.30/18.32
+# to 18.41/18.41 MB (two 20 s runs, Python 3.11.7 on a 2-core Xeon).
+_LINEAR = {
+    (a, b): LaurentPoly((a, b - a)) for a in (-1, 0, 1) for b in (-1, 0, 1)
+}
+
+
+@dataclass(frozen=True)
+class AlexMatrix:
+    """The relation matrix over Z[t] (see relation_rows)."""
 
     rows: tuple[tuple[LaurentPoly, ...], ...]
     arc_labels: tuple[int, ...]
@@ -284,39 +308,47 @@ class AlexMatrix:
 
 
 def alexander_matrix(d: Diagram) -> AlexMatrix:
-    """Build the relation matrix of a diagram, one row per crossing."""
-    col = {arc: i for i, arc in enumerate(d.arcs)}
-    t = LaurentPoly.t()
-    one = LaurentPoly.one()
-    rows = []
-    for c in d.crossings:
-        row = [LaurentPoly.zero()] * len(d.arcs)
-        x_in, x_out = (c.under_in, c.under_out) if c.sign > 0 else (c.under_out, c.under_in)
-        row[col[x_in]] = row[col[x_in]] + t
-        row[col[c.over]] = row[col[c.over]] + (one - t)
-        row[col[x_out]] = row[col[x_out]] - one
-        rows.append(tuple(row))
-    return AlexMatrix(tuple(rows), tuple(d.arcs))
+    """Build the relation matrix of a diagram, one row per crossing.
+
+    Its entries are linear in t, so their values at t = 0 and t = 1 fix them.
+    """
+    # Each row goes through a list: a tuple built from a generator grows by
+    # resizing, and that raised peak memory by about 1 KB per minor_ladder op
+    # (18.59 against 18.24 MB after 360 ops).
+    rows = tuple(
+        tuple([_LINEAR[pair] for pair in zip(at_0, at_1)])
+        for at_0, at_1 in zip(relation_rows(d, 0), relation_rows(d, 1))
+    )
+    return AlexMatrix(rows, tuple(d.arcs))
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination.
+def bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix.
 
-    Bareiss's identity makes every division by the previous pivot exact;
-    each one is checked, and a remainder raises InexactDivisionError.
+    Columns are taken in order.  The pivot of a column is the first
+    remaining row that is non-zero there, swapped into place; a column
+    without one is dropped.  Returns (pivot row indices in elimination
+    order, last pivot, sign of the row swaps).  By Sylvester's identity the
+    last pivot is the determinant of the pivot rows restricted to the pivot
+    columns, in elimination order; with no pivots it is 1.  Every division
+    by the previous pivot is exact; each one is checked, and a remainder
+    raises InexactDivisionError.
     """
     m = [list(r) for r in rows]
-    if not m:
-        return 1
+    order = list(range(len(m)))
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    while len(m) > 1:
+    while m and m[0]:
         k = next((i for i, r in enumerate(m) if r[0]), None)
         if k is None:
-            return 0
+            m = [r[1:] for r in m]
+            continue
         if k:
             m[0], m[k] = m[k], m[0]
+            order[0], order[k] = order[k], order[0]
             sign = -sign
+        pivots.append(order.pop(0))
         pivot, *head = m[0]
         reduced = []
         for row in m[1:]:
@@ -338,7 +370,14 @@ def det_int(rows: list[list[int]]) -> int:
             reduced.append(out)
         m = reduced
         prev = pivot
-    return sign * m[0][0]
+    return pivots, prev, sign
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by bareiss: the signed last
+    pivot when every row is a pivot row, else 0."""
+    pivots, last, sign = bareiss(rows)
+    return sign * last if len(pivots) == len(rows) else 0
 
 
 def _newton_expand(values: list[int]) -> tuple[int, ...]:
@@ -466,7 +505,3 @@ def reduce_normalize(p: LaurentPoly, components: int) -> LaurentPoly:
             f"not a reduced knot polynomial ({'; '.join(problems)}): {q}"
         )
     return q
-
-
-def poly_to_json_str(p: LaurentPoly) -> str:
-    return json.dumps(p.to_json(), sort_keys=True)

@@ -3,16 +3,30 @@
 None of them runs in the package.  First minors are computed by evaluation
 and interpolation (qfox.laurent.det_poly); det_bareiss and det_cofactor
 compute the same polynomial directly, by fraction-free elimination over
-Z[t] and by cofactor expansion.  kernel_vectors lists every coloring that
-the orbit search walks up to the affine action, and pivot_rows_fraction is
-the Fraction elimination behind the integer one in collapse_and_check.
+Z[t] and by cofactor expansion.  alexander_matrix_reference builds the
+relation matrix from LaurentPoly arithmetic, against the integer rows of
+qfox.laurent.relation_rows.  kernel_vectors lists every coloring that the
+orbit search walks up to the affine action, enumerate_colorings_brute lists
+them by exhaustive search, and rank reads the rank of a mod-p matrix off its
+row reduction.  pivot_rows_fraction is the Fraction elimination behind the
+integer one (qfox.laurent.bareiss) in collapse_and_check.  arc_of_edge
+numbers arcs with a union-find of its own, against build_diagram.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from qfox.coloring import coloring_matrix, kernel_basis
-from qfox.laurent import LaurentPoly, exact_div
+from qfox.coloring import (
+    Coloring,
+    ModMatrix,
+    _require_prime_modulus,
+    _row_reduce,
+    coloring_matrix,
+    kernel_basis,
+    verify_coloring,
+)
+from qfox.diagram import PdCode
+from qfox.laurent import AlexMatrix, LaurentPoly, exact_div
 
 
 def det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -57,6 +71,75 @@ def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return acc
 
 
+def alexander_matrix_reference(d) -> AlexMatrix:
+    """The relation matrix over Z[t], one row per crossing, by LaurentPoly
+    arithmetic: t, 1-t, -1 on the incoming under-arc, the over-arc and the
+    outgoing under-arc, under-arc roles swapped at negative crossings."""
+    col = {arc: i for i, arc in enumerate(d.arcs)}
+    t = LaurentPoly.t()
+    one = LaurentPoly.one()
+    rows = []
+    for c in d.crossings:
+        row = [LaurentPoly.zero()] * len(d.arcs)
+        x_in, x_out = (c.under_in, c.under_out) if c.sign > 0 else (c.under_out, c.under_in)
+        row[col[x_in]] = row[col[x_in]] + t
+        row[col[c.over]] = row[col[c.over]] + (one - t)
+        row[col[x_out]] = row[col[x_out]] - one
+        rows.append(tuple(row))
+    return AlexMatrix(tuple(rows), tuple(d.arcs))
+
+
+def arc_of_edge(pd: PdCode) -> dict[int, int]:
+    """Map each edge label to its arc id: arcs merge the two over-edges at
+    every crossing and are numbered 1..q by their smallest edge label."""
+    parent: dict[int, int] = {}
+    for quad in pd.crossings:
+        for e in quad:
+            parent.setdefault(e, e)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for _, b, _, dd in pd.crossings:
+        rb, rd = find(b), find(dd)
+        if rb != rd:
+            parent[rb] = rd
+    classes: dict[int, list[int]] = {}
+    for e in parent:
+        classes.setdefault(find(e), []).append(e)
+    rank = {m: i + 1 for i, m in enumerate(sorted(min(v) for v in classes.values()))}
+    out: dict[int, int] = {}
+    for edges in classes.values():
+        aid = rank[min(edges)]
+        for e in edges:
+            out[e] = aid
+    return out
+
+
+def rank(mat: ModMatrix) -> int:
+    _require_prime_modulus(mat.modulus)
+    pivots, _ = _row_reduce([list(r) for r in mat.rows], mat.modulus)
+    return len(pivots)
+
+
+def enumerate_colorings_brute(d, params) -> set[tuple[int, ...]]:
+    """All colorings by exhaustive search over n^q assignments.
+
+    Exponential; an independent oracle for the linear-algebra route, run
+    only on tiny inputs.
+    """
+    q = len(d.arcs)
+    out = set()
+    for v in product(range(params.n), repeat=q):
+        c = Coloring(params.n, params.m, dict(zip(d.arcs, v)))
+        if verify_coloring(d, c):
+            out.add(v)
+    return out
+
+
 def kernel_vectors(d, params) -> set[tuple[int, ...]]:
     """All colorings via the kernel (prime modulus): span of the basis."""
     mat = coloring_matrix(d, params)
@@ -74,13 +157,14 @@ def kernel_vectors(d, params) -> set[tuple[int, ...]]:
     return out
 
 
-def pivot_rows_fraction(rows: list[list[int]]) -> list[int]:
+def pivot_rows_fraction(rows: list[list[int]]) -> tuple[list[int], Fraction]:
     """Original indices of a maximal independent row set, chosen by Gaussian
-    elimination over Fraction in row order."""
+    elimination over Fraction in row order, and the product of the pivots."""
     m = [[Fraction(v) for v in r] for r in rows]
     orig = list(range(len(m)))
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
+    product_of_pivots = Fraction(1)
     r = 0
     for col in range(ncols):
         sel = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
@@ -93,5 +177,6 @@ def pivot_rows_fraction(rows: list[list[int]]) -> list[int]:
                 f = m[i][col] / m[r][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(orig[r])
+        product_of_pivots *= m[r][col]
         r += 1
-    return pivots
+    return pivots, product_of_pivots

@@ -18,7 +18,6 @@ from qfox import (
     TorusParams,
     alexander_matrix,
     collapse_and_check,
-    enumerate_colorings_brute,
     exact_div,
     first_minor,
     get_diagram,
@@ -42,7 +41,7 @@ from qfox import (
     unit_equivalent,
     verify_coloring,
 )
-from oracles import kernel_vectors
+from oracles import enumerate_colorings_brute, kernel_vectors
 
 TABLE1 = [(2, 3), (3, 7), (4, 13), (6, 31), (7, 43), (9, 73), (13, 157), (15, 211)]
 TABLE2 = [(2, 5), (4, 17), (6, 37), (10, 101), (14, 197), (16, 257), (20, 401), (24, 577)]

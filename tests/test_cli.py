@@ -245,6 +245,26 @@ def test_collapse_rejects_trivial_coloring(capsys, tmp_path):
     assert "non-trivial coloring required" in err
 
 
+@pytest.mark.parametrize("subcommand", [["collapse", "3_1", "--coloring"], ["color", "3_1", "--verify"]])
+@pytest.mark.parametrize(
+    "content",
+    [
+        {},
+        {"p": "x", "m": 2, "colors": {"1": 0}},
+        [1, 2],
+        {"p": 3, "m": 2, "colors": [1, 2]},
+        {"p": 3, "m": 2, "colors": {"1": "x", "2": 0, "3": 1}},
+    ],
+)
+def test_malformed_coloring_file_is_a_named_error(capsys, tmp_path, subcommand, content):
+    f = tmp_path / "coloring.json"
+    f.write_text(json.dumps(content), encoding="utf-8")
+    rc, _, err = run(capsys, *subcommand, str(f))
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # -- families ------------------------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from qfox import (
     collapse_and_check,
     coloring_from_anchors,
     coloring_matrix,
-    enumerate_colorings_brute,
     first_minor,
     get_diagram,
     is_nontrivially_colorable,
@@ -31,8 +30,9 @@ from qfox import (
     verify_coloring,
 )
 from qfox import coloring
-from qfox.coloring import _affine_canonical, _orbit_representatives, _pivot_rows_rational, rank
-from oracles import kernel_vectors, pivot_rows_fraction
+from qfox.coloring import _affine_canonical, _orbit_representatives
+from qfox.laurent import bareiss
+from oracles import enumerate_colorings_brute, kernel_vectors, pivot_rows_fraction, rank
 from qfox.families import braid_closure, pretzel_diagram, PretzelParams, torus_diagram, TorusParams
 
 
@@ -438,6 +438,18 @@ def test_minimum_below_kl_raises_for_knots_only(trefoil, l4a1, monkeypatch):
     assert min_colors_on_diagram(l4a1, QuandleParams(5, 2))[0] == 4
 
 
+def test_orbit_search_checks_constants_are_in_the_kernel(trefoil, monkeypatch):
+    real = coloring.kernel_basis
+
+    def first_vector_doubled(mat):
+        basis = real(mat)
+        return [tuple(2 * x for x in basis[0])] + basis[1:]
+
+    monkeypatch.setattr(coloring, "kernel_basis", first_vector_doubled)
+    with pytest.raises(ColoringError, match="constant vectors not in kernel"):
+        min_colors_on_diagram(trefoil, QuandleParams(3, 2))
+
+
 # -- integer pivots against the Fraction oracle -------------------------------------------------
 
 
@@ -477,4 +489,5 @@ def pivot_matrices(draw):
 @example([[2, 4, 6], [1, 2, 3], [1, 3, 5], [0, 1, 2]])
 @example([[6, 10, 15], [3, 5, 7], [9, 15, 22], [12, 20, 30]])
 def test_integer_pivots_match_fraction_oracle(rows):
-    assert _pivot_rows_rational(rows) == pivot_rows_fraction(rows)
+    pivots, last, _ = bareiss(rows)
+    assert (pivots, last) == pivot_rows_fraction(rows)

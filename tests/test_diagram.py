@@ -1,5 +1,7 @@
 """PD parsing, diagram assembly, and the named-diagram registry."""
 
+import random
+
 import pytest
 
 from qfox import (
@@ -14,7 +16,9 @@ from qfox import (
     render_pd,
     validate,
 )
-from qfox.diagram import arc_of_edge, parse_registry_text, relabel_arcs
+from qfox.diagram import parse_registry_text, relabel_arcs
+from qfox.families import braid_closure_pd
+from oracles import arc_of_edge
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 
@@ -64,6 +68,33 @@ def test_arc_of_edge_covers_all_edges():
     mapping = arc_of_edge(pd)
     assert set(mapping) == set(range(1, 7))
     assert set(mapping.values()) == {1, 2, 3}
+
+
+def _random_braid_closure_pds(count, seed=11):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        strands = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * g for g in range(1, strands)]
+        word += [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 12))]
+        rng.shuffle(word)
+        pd = braid_closure_pd(word, strands)
+        try:
+            build_diagram(pd)
+        except DiagramError:
+            continue  # a component that never passes under
+        out.append(pd)
+    return out
+
+
+def test_build_diagram_arcs_match_union_find_oracle(registry):
+    for pd in list(registry.values()) + _random_braid_closure_pds(60):
+        d = build_diagram(pd)
+        arc = arc_of_edge(pd)
+        assert d.arcs == tuple(range(1, len(set(arc.values())) + 1))
+        assert [(c.under_in, c.over, c.under_out) for c in d.crossings] == [
+            (arc[under_in], arc[over], arc[under_out]) for under_in, over, under_out, _ in pd.crossings
+        ], str(pd)
 
 
 def test_link_components_counted(l4a1):

@@ -14,6 +14,7 @@ from qfox import (
     exact_div,
     first_minor,
     get_diagram,
+    load_registry,
     parse_pd,
     parse_poly,
     reduce_normalize,
@@ -26,9 +27,11 @@ from qfox.laurent import (
     det_int,
     det_poly,
     normalize_unit,
+    relation_rows,
 )
+from qfox.families import PretzelParams, TorusParams, braid_closure, pretzel_diagram, torus_diagram
 
-from oracles import det_bareiss, det_cofactor
+from oracles import alexander_matrix_reference, det_bareiss, det_cofactor
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.one()
@@ -232,6 +235,34 @@ def test_alexander_matrix_row_sums_vanish_at_t1(trefoil):
     mat = alexander_matrix(trefoil)
     for row in mat.rows:
         assert sum(e.evaluate(1) for e in row) == 0
+
+
+def _relation_matrix_cases():
+    registry = load_registry()
+    cases = [get_diagram(name, registry) for name in sorted(registry)]
+    cases += [torus_diagram(TorusParams(a, b)) for a, b in [(2, 3), (2, 13), (3, 4), (5, 9)]]
+    cases += [pretzel_diagram(PretzelParams(a)) for a in (3, 7, 21)]
+    # connected sums as braid closures: granny, square knot, 3_1 # T(2,5), 3_1 # 3_1 # 3_1
+    for word in ([1, 1, 1, 2, 2, 2], [1, 1, 1, -2, -2, -2], [1, 1, 1, 2, 2, 2, 2, 2],
+                 [1, 1, 1, 2, 2, 2, 3, 3, 3]):
+        cases.append(braid_closure(word, name=str(word)))
+    return cases
+
+
+def test_alexander_matrix_equals_laurent_reference():
+    for d in _relation_matrix_cases():
+        mat = alexander_matrix(d)
+        assert mat == alexander_matrix_reference(d), d.name
+        # entries are shared: one object per distinct linear polynomial
+        assert len({id(e) for row in mat.rows for e in row}) <= 7, d.name
+
+
+def test_relation_rows_are_the_reference_evaluated():
+    for d in _relation_matrix_cases():
+        ref = alexander_matrix_reference(d)
+        for t in (-3, -1, 0, 2, 5):
+            expected = [[e.evaluate(t) for e in row] for row in ref.rows]
+            assert relation_rows(d, t) == expected, (d.name, t)
 
 
 @pytest.mark.parametrize(
