@@ -87,12 +87,13 @@ def _reduced(d: Diagram) -> LaurentPoly:
     return reduce_normalize(first_minor(alexander_matrix(d)), components=d.components)
 
 
-def _derive_p(args, poly: LaurentPoly, out: dict) -> int:
-    """--p wins; otherwise p = poly(m), required to be an odd prime."""
+def _derive_p(args, d: Diagram, out: dict, red: LaurentPoly | None = None) -> int:
+    """--p wins; otherwise p = red(m), required to be an odd prime, with the
+    reduced polynomial red computed here when the caller has none."""
     if args.p is not None:
         require_odd_prime(args.p)
         return args.p
-    value = poly.evaluate(args.m)
+    value = (red if red is not None else _reduced(d)).evaluate(args.m)
     require_odd_prime(value)
     out["p_auto"] = True
     return value
@@ -199,8 +200,8 @@ def cmd_bounds(args) -> int:
     if args.m is None:
         raise QfoxError("bounds needs --m M or --scan A..B")
     payload: dict = {"command": "bounds", "input": args.input, "source": source}
-    p = _derive_p(args, red, payload)
-    if d.components == 1:
+    p = _derive_p(args, d, payload, red)
+    if d.components == 1 and p == red.evaluate(args.m):
         rep = improved_lower_bound(red, args.m, name=d.name)
         payload.update(rep.to_json())
         lines = [
@@ -217,6 +218,10 @@ def cmd_bounds(args) -> int:
         ]
     else:
         kl = kl_lower_bound(p, args.m)
+        if d.components > 1:
+            why = "links: improved bound not applicable"
+        else:
+            why = "improved bound needs p = poly(m)"
         payload.update(
             {
                 "knot": d.name,
@@ -230,7 +235,7 @@ def cmd_bounds(args) -> int:
             f"poly: {red}",
             f"m:    {args.m}",
             f"p:    {p}" + ("  (auto: poly(m))" if payload.get("p_auto") else ""),
-            f"kl:   {kl}  (links: improved bound not applicable)",
+            f"kl:   {kl}  ({why})",
         ]
     if probable_only(p):
         lines.append("note: primality is probabilistic at this size")
@@ -241,7 +246,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_color(args) -> int:
     d, source = _resolve(args.input)
-    red = _reduced(d)
     payload: dict = {"command": "color", "input": args.input, "source": source}
 
     if args.verify:
@@ -254,7 +258,7 @@ def cmd_color(args) -> int:
 
     if args.m is None:
         raise QfoxError("color needs --m M (and usually --p P)")
-    p = _derive_p(args, red, payload)
+    p = _derive_p(args, d, payload)
     params = QuandleParams(p, args.m)
     payload.update({"p": p, "m": args.m})
 
@@ -307,7 +311,7 @@ def cmd_collapse(args) -> int:
     else:
         if args.m is None:
             raise QfoxError("collapse needs --m M (plus --p P unless poly(m) is prime)")
-        p = _derive_p(args, _reduced(d), payload)
+        p = _derive_p(args, d, payload)
         _, coloring = min_colors_on_diagram(d, QuandleParams(p, args.m))
     rep = collapse_and_check(d, coloring)
     payload["collapse"] = rep.to_json()
@@ -474,12 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_families)
 
     p = sub.add_parser("scan", help="prime values of the reduced polynomial")
-    p.add_argument(
-        "input",
-        help="registry name, PD[...] literal, torus:a,b / pretzel:a, or file path",
-    )
+    common(p, fmt=("text", "json", "csv"))
     p.add_argument("range", metavar="A..B", help="inclusive m range")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(fn=cmd_scan)
 
     return top
@@ -489,10 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except QfoxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (QfoxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -266,37 +266,30 @@ def coloring_from_anchors(
 ) -> Coloring:
     """The unique coloring taking prescribed values on the anchor arcs.
 
-    Solves for kernel coordinates; raises when the constraints are
+    Row-reduces the relation rows at t = m, with a zero right-hand side,
+    together with one unit row per anchor; raises when the constraints are
     inconsistent or leave freedom (the anchors must pin the kernel down).
     """
     p = params.n
-    mat = coloring_matrix(d, params)
-    basis = kernel_basis(mat)
-    if not basis:
+    _require_prime_modulus(p)
+    q = len(d.arcs)
+    if not q:
         raise ColoringError("kernel is trivial; no colorings at all")
-    col_of = {arc: i for i, arc in enumerate(mat.arc_labels)}
-    rows = []
+    col_of = {arc: i for i, arc in enumerate(d.arcs)}
+    rows = [row + [0] for row in relation_rows(d, params.m)]
     for arc, val in sorted(anchors.items()):
         if arc not in col_of:
             raise ColoringError(f"anchor arc {arc} is not an arc of the diagram")
-        rows.append([b[col_of[arc]] for b in basis] + [val % p])
+        unit = [0] * (q + 1)
+        unit[col_of[arc]], unit[q] = 1, val
+        rows.append(unit)
     pivots, red = _row_reduce(rows, p)
-    if any(col == len(basis) for _, col in pivots):
+    if any(col == q for _, col in pivots):
         raise ColoringError("anchor constraints are inconsistent")
-    if len(pivots) < len(basis):
-        raise ColoringError(
-            f"anchors leave {len(basis) - len(pivots)} kernel degrees of freedom"
-        )
-    coeffs = [0] * len(basis)
-    for i, (_, col) in enumerate(pivots):
-        coeffs[col] = red[i][len(basis)]
-    q = len(mat.arc_labels)
-    v = [0] * q
-    for c, b in zip(coeffs, basis):
-        if c:
-            for i, x in enumerate(b):
-                v[i] = (v[i] + c * x) % p
-    return Coloring(params.n, params.m, dict(zip(mat.arc_labels, v)))
+    if len(pivots) < q:
+        raise ColoringError(f"anchors leave {q - len(pivots)} kernel degrees of freedom")
+    # Every column is a pivot, so row i of the reduced system reads v[i] = red[i][q].
+    return Coloring(params.n, params.m, dict(zip(d.arcs, (r[q] for r in red))))
 
 
 def verify_coloring(d: Diagram, coloring: Coloring) -> bool:

@@ -87,18 +87,17 @@ def _assemble(over_flags: list[str], connectors: list[tuple[Port, Port]]) -> PdC
 # ---------------------------------------------------------------------------
 
 
-def braid_closure_pd(word: list[int], strands: int | None = None) -> PdCode:
+def braid_closure_pd(word: list[int]) -> PdCode:
     """PD code of the closure of a braid word.
 
     Letters are non-zero integers: +i is the generator crossing columns
     i, i+1 with the UR-LL strand over, -i its inverse.  Strands flow
-    downward; the closure joins each column's bottom back to its top.
+    downward; the closure joins each column's bottom back to its top.  There
+    are max|letter| + 1 strands, and a strand no letter crosses is rejected.
     """
     if not word or any(g == 0 for g in word):
         raise DiagramError("braid word must be non-empty with non-zero letters")
-    n = strands if strands is not None else max(abs(g) for g in word) + 1
-    if max(abs(g) for g in word) + 1 > n:
-        raise DiagramError("braid letter exceeds strand count")
+    n = max(abs(g) for g in word) + 1
     over = ["UR-LL" if g > 0 else "UL-LR" for g in word]
     connectors: list[tuple[Port, Port]] = []
     open_port: dict[int, Port] = {}
@@ -119,8 +118,8 @@ def braid_closure_pd(word: list[int], strands: int | None = None) -> PdCode:
     return _assemble(over, connectors)
 
 
-def braid_closure(word: list[int], strands: int | None = None, name: str = "") -> Diagram:
-    return build_diagram(braid_closure_pd(word, strands), name=name)
+def braid_closure(word: list[int], name: str = "") -> Diagram:
+    return build_diagram(braid_closure_pd(word), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def torus_braid_word(tp: TorusParams) -> list[int]:
 
 
 def torus_diagram(tp: TorusParams) -> Diagram:
-    d = braid_closure(torus_braid_word(tp), strands=tp.a, name=tp.name)
+    d = braid_closure(torus_braid_word(tp), name=tp.name)
     if d.components != 1:
         raise DiagramError(f"{tp.name} closure split into {d.components} components")
     return d

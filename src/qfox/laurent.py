@@ -2,10 +2,11 @@
 
 Everything downstream (determinants, colorings, bounds) runs on exact
 integer coefficients; nothing in this module touches floating point.
-The module also builds the crossing/arc relation matrix of a diagram and
-computes its first minors by evaluation and interpolation: one integer
-determinant (fraction-free Bareiss elimination) at each of t = 0, 1, ..., N,
-where N bounds the degree of the minor, then exact Newton interpolation
+The module also builds the crossing/arc relation matrix of a diagram as
+integer rows at any integer t (relation_rows); its entries are linear in t,
+so the matrix over Z[t] is held as its values at t = 0 and t = 1.  A first
+minor of size n is one integer determinant (fraction-free Bareiss
+elimination) at each of t = 0, 1, ..., n, then exact Newton interpolation
 back to Z[t].  Every division on the way is checked for a remainder.
 """
 
@@ -281,45 +282,36 @@ def relation_rows(d: Diagram, t: int) -> list[list[int]]:
     return rows
 
 
-# Every entry of the relation matrix is a sum of distinct terms among t, 1-t
-# and -1, so its values at t = 0 and t = 1 both lie in {-1, 0, 1}.  Entries
-# share one object per (value at 0, value at 1) pair.  One object per non-zero
-# entry raised the peak memory of the minor_ladder benchmark from 18.30/18.32
-# to 18.41/18.41 MB (two 20 s runs, Python 3.11.7 on a 2-core Xeon).
-_LINEAR = {
-    (a, b): LaurentPoly((a, b - a)) for a in (-1, 0, 1) for b in (-1, 0, 1)
-}
-
-
 @dataclass(frozen=True)
 class AlexMatrix:
-    """The relation matrix over Z[t] (see relation_rows)."""
+    """The relation matrix over Z[t], held as its integer values at t = 0
+    and t = 1 (see relation_rows).  Every entry is linear in t, so entry
+    (i, j) is a + (b - a)t with a = at_0[i][j] and b = at_1[i][j]."""
 
-    rows: tuple[tuple[LaurentPoly, ...], ...]
+    at_0: list[list[int]]
+    at_1: list[list[int]]
     arc_labels: tuple[int, ...]
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.at_0)
 
     @property
     def n_cols(self) -> int:
         return len(self.arc_labels)
 
+    @property
+    def rows(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The entries as LaurentPoly, built on each access."""
+        return tuple(
+            tuple(LaurentPoly((a, b - a)) for a, b in zip(r0, r1))
+            for r0, r1 in zip(self.at_0, self.at_1)
+        )
+
 
 def alexander_matrix(d: Diagram) -> AlexMatrix:
-    """Build the relation matrix of a diagram, one row per crossing.
-
-    Its entries are linear in t, so their values at t = 0 and t = 1 fix them.
-    """
-    # Each row goes through a list: a tuple built from a generator grows by
-    # resizing, and that raised peak memory by about 1 KB per minor_ladder op
-    # (18.59 against 18.24 MB after 360 ops).
-    rows = tuple(
-        tuple([_LINEAR[pair] for pair in zip(at_0, at_1)])
-        for at_0, at_1 in zip(relation_rows(d, 0), relation_rows(d, 1))
-    )
-    return AlexMatrix(rows, tuple(d.arcs))
+    """Build the relation matrix of a diagram, one row per crossing."""
+    return AlexMatrix(relation_rows(d, 0), relation_rows(d, 1), tuple(d.arcs))
 
 
 def bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
@@ -407,25 +399,17 @@ def _newton_expand(values: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def det_poly(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant over Z[t] by evaluation and interpolation.
+def det_pencil(a: list[list[int]], b: list[list[int]]) -> LaurentPoly:
+    """det(A + tB) for square integer matrices A and B of size n.
 
-    Entries must have min_exp >= 0.  The determinant has degree at most
-    N = size * (largest entry degree), so one integer determinant at each
-    of t = 0, 1, ..., N fixes it; exact Newton interpolation recovers it.
+    The determinant has degree at most n, so one integer determinant at
+    each of t = 0, 1, ..., n fixes it; exact Newton interpolation recovers it.
     """
-    degree = max((e.degree for r in rows for e in r), default=0)
-    points = range(len(rows) * max(degree, 0) + 1)
-    values = [det_int([[e.evaluate(x) for e in r] for r in rows]) for x in points]
+    values = [
+        det_int([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for t in range(len(a) + 1)
+    ]
     return LaurentPoly(_newton_expand(values))
-
-
-def _shift_nonneg(rows: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    lows = [e.min_exp for r in rows for e in r if not e.is_zero]
-    s = min(lows, default=0)
-    if s >= 0:
-        return rows
-    return [[e.shifted(-s) for e in r] for r in rows]
 
 
 def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> LaurentPoly:
@@ -439,22 +423,19 @@ def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> Lauren
         raise DiagramError("a diagram without crossings has no first minor")
     if not (0 <= drop_row < mat.n_rows and 0 <= drop_col < mat.n_cols):
         raise IndexError("minor indices out of range")
-    rows = [
-        [e for j, e in enumerate(r) if j != drop_col]
-        for i, r in enumerate(mat.rows)
-        if i != drop_row
-    ]
-    if rows and len(rows) != len(rows[0]):
+
+    def minor(rows: list[list[int]]) -> list[list[int]]:
+        return [
+            [x for j, x in enumerate(r) if j != drop_col]
+            for i, r in enumerate(rows)
+            if i != drop_row
+        ]
+
+    at_0, at_1 = minor(mat.at_0), minor(mat.at_1)
+    if at_0 and len(at_0) != len(at_0[0]):
         raise ValueError("minor of a non-square matrix")
-    return det_poly(_shift_nonneg(rows))
-
-
-def det_full(mat: AlexMatrix) -> LaurentPoly:
-    """Determinant of the full (square) relation matrix.  Always zero for a
-    genuine diagram; exposed so tests can assert exactly that."""
-    if mat.n_rows != mat.n_cols:
-        raise ValueError("full determinant of a non-square matrix")
-    return det_poly(_shift_nonneg([list(r) for r in mat.rows]))
+    slope = [[y - x for x, y in zip(r0, r1)] for r0, r1 in zip(at_0, at_1)]
+    return det_pencil(at_0, slope)
 
 
 # ---------------------------------------------------------------------------

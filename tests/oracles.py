@@ -1,7 +1,7 @@
 """Reference computations kept as oracles for the tests.
 
 None of them runs in the package.  First minors are computed by evaluation
-and interpolation (qfox.laurent.det_poly); det_bareiss and det_cofactor
+and interpolation (qfox.laurent.det_pencil); det_bareiss and det_cofactor
 compute the same polynomial directly, by fraction-free elimination over
 Z[t] and by cofactor expansion.  alexander_matrix_reference builds the
 relation matrix from LaurentPoly arithmetic, against the integer rows of
@@ -26,7 +26,7 @@ from qfox.coloring import (
     verify_coloring,
 )
 from qfox.diagram import PdCode
-from qfox.laurent import AlexMatrix, LaurentPoly, exact_div
+from qfox.laurent import LaurentPoly, exact_div
 
 
 def det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -71,7 +71,7 @@ def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return acc
 
 
-def alexander_matrix_reference(d) -> AlexMatrix:
+def alexander_matrix_reference(d) -> tuple[tuple[LaurentPoly, ...], ...]:
     """The relation matrix over Z[t], one row per crossing, by LaurentPoly
     arithmetic: t, 1-t, -1 on the incoming under-arc, the over-arc and the
     outgoing under-arc, under-arc roles swapped at negative crossings."""
@@ -86,7 +86,7 @@ def alexander_matrix_reference(d) -> AlexMatrix:
         row[col[c.over]] = row[col[c.over]] + (one - t)
         row[col[x_out]] = row[col[x_out]] - one
         rows.append(tuple(row))
-    return AlexMatrix(tuple(rows), tuple(d.arcs))
+    return tuple(rows)
 
 
 def arc_of_edge(pd: PdCode) -> dict[int, int]:

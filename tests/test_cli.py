@@ -133,6 +133,19 @@ def test_bounds_explicit_p_wins(capsys):
     assert "p_auto" not in payload
 
 
+def test_bounds_explicit_p_off_the_polynomial_reports_kl(capsys):
+    """A --p other than poly(m) gets KL(p, m) alone: 10_145 has the
+    composite poly(2) = 15, and KL(7, 2) on 3_1 is 4, not KL(3, 2) = 3."""
+    rc, out, err = run(capsys, "bounds", "10_145", "--m", "2", "--p", "5")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[2:] == ["p:    5", "kl:   4  (improved bound needs p = poly(m))"]
+    rc, out, _ = run(capsys, "bounds", "3_1", "--m", "2", "--p", "7")
+    assert rc == 0
+    assert "p:    7" in out and "kl:   4  (improved bound needs p = poly(m))" in out
+    payload = run_json(capsys, "bounds", "3_1", "--m", "2", "--p", "7")
+    assert (payload["p"], payload["lower_bounds"]) == (7, {"kl": 4})
+
+
 def test_bounds_requires_m_or_scan(capsys):
     rc, _, err = run(capsys, "bounds", "3_1")
     assert rc == 1
@@ -214,6 +227,28 @@ def test_color_verify_good_and_bad(capsys, tmp_path):
 
 
 # -- collapse -------------------------------------------------------------------------
+
+
+# The closure of s1^2 s1^-2 splits: its first minor is 0, so poly(m) does
+# not exist, yet with p given it has colorings at p = 3, m = 2.
+SPLIT_CLOSURE = "PD[X[8,1,5,4],X[1,6,2,5],X[2,6,3,7],X[7,3,8,4]]"
+
+
+def test_explicit_p_needs_no_polynomial(capsys, tmp_path):
+    rc, out, err = run(capsys, "color", SPLIT_CLOSURE, "--m", "2", "--p", "3", "--min")
+    assert (rc, err) == (0, "")
+    assert "minimum distinct colors on this diagram: 3" in out
+    witness = run_json(capsys, "color", SPLIT_CLOSURE, "--m", "2", "--p", "3", "--min")["witness"]
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(witness), encoding="utf-8")
+    rc, out, _ = run(capsys, "color", SPLIT_CLOSURE, "--verify", str(f))
+    assert (rc, out) == (0, "coloring: valid\n")
+    rc, out, _ = run(capsys, "collapse", SPLIT_CLOSURE, "--m", "2", "--p", "3")
+    assert rc == 0
+    assert "det B:               -3" in out and "all checks:          pass" in out
+    # Without --p, p is poly(m), which this diagram does not have.
+    rc, _, err = run(capsys, "color", SPLIT_CLOSURE, "--m", "2", "--min")
+    assert (rc, err) == (1, "error: zero determinant (split diagram?)\n")
 
 
 def test_collapse_link_example(capsys):

@@ -1,6 +1,7 @@
 """Colorings: quandle algebra, kernels, minima, and the collapse checks."""
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from qfox import (
     ColoringError,
     QuandleParams,
     alexander_matrix,
+    build_diagram,
     collapse_and_check,
     coloring_from_anchors,
     coloring_matrix,
@@ -23,6 +25,7 @@ from qfox import (
     kl_lower_bound,
     load_registry,
     min_colors_on_diagram,
+    parse_pd,
     quandle_op,
     quandle_op_inv,
     reduce_normalize,
@@ -218,6 +221,44 @@ def test_anchors_inconsistent(trefoil):
 def test_anchors_underdetermined(trefoil):
     with pytest.raises(ColoringError):
         coloring_from_anchors(trefoil, QuandleParams(3, 2), {1: 1})
+
+
+@pytest.mark.parametrize(
+    "word,p,m",
+    [([1, 1, 1], 3, 2), ([1, -2, 1, -2], 5, 4), ([1, 1, 1, 1], 5, 2), ([1, 1, 1, 2, 2, 2], 3, 2)],
+)
+def test_anchors_match_kernel_enumeration(word, p, m):
+    """Random anchor sets on 3_1, 4_1, L4a1 and the granny knot (kernel
+    dimension 3 at p = 3): the one kernel vector taking the anchored
+    values, or the named error when none or p^k of them do."""
+    d = braid_closure(word)
+    params = QuandleParams(p, m)
+    vectors = kernel_vectors(d, params)
+    rng = random.Random(len(word) * p)
+    for _ in range(60):
+        arcs = rng.sample(d.arcs, rng.randint(1, min(4, len(d.arcs))))
+        anchors = {a: rng.randrange(p) for a in arcs}
+        hits = [v for v in vectors if all(v[d.arcs.index(a)] == c for a, c in anchors.items())]
+        if len(hits) == 1:
+            assert coloring_from_anchors(d, params, anchors).colors == dict(zip(d.arcs, hits[0]))
+            continue
+        if hits:
+            k = round(math.log(len(hits), p))
+            assert p**k == len(hits)
+            match = f"anchors leave {k} kernel degrees of freedom"
+        else:
+            match = "anchor constraints are inconsistent"
+        with pytest.raises(ColoringError, match=match):
+            coloring_from_anchors(d, params, anchors)
+
+
+def test_anchors_reject_unknown_arc_empty_diagram_and_composite_modulus(trefoil):
+    with pytest.raises(ColoringError, match="anchor arc 9 is not an arc"):
+        coloring_from_anchors(trefoil, QuandleParams(3, 2), {1: 0, 9: 1})
+    with pytest.raises(ColoringError, match="kernel is trivial"):
+        coloring_from_anchors(build_diagram(parse_pd("PD[]")), QuandleParams(3, 2), {})
+    with pytest.raises(ColoringError, match="prime modulus"):
+        coloring_from_anchors(trefoil, QuandleParams(9, 2), {1: 0, 2: 1})
 
 
 # -- exhaustive oracle ------------------------------------------------------------------

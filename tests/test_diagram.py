@@ -78,7 +78,7 @@ def _random_braid_closure_pds(count, seed=11):
         word = [rng.choice((1, -1)) * g for g in range(1, strands)]
         word += [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 12))]
         rng.shuffle(word)
-        pd = braid_closure_pd(word, strands)
+        pd = braid_closure_pd(word)
         try:
             build_diagram(pd)
         except DiagramError:

@@ -55,7 +55,7 @@ def test_braid_closure_link():
 
 def test_braid_closure_rejects_untouched_strand():
     with pytest.raises(DiagramError):
-        braid_closure([1, 1], strands=3)
+        braid_closure([2, 2])
 
 
 def test_braid_closure_rejects_bad_letter():
