@@ -178,19 +178,6 @@ def require_odd_prime(value: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def base_m_digits(p: int, m: int) -> list[int]:
-    """Digits d_0..d_r of p in base m, least significant first, d_r >= 1."""
-    if p < 1:
-        raise BoundsError(f"digit expansion needs a positive integer, got {p}")
-    if m < 2:
-        raise BoundsError(f"digit expansion needs base >= 2, got {m}")
-    digits = []
-    while p:
-        p, d = divmod(p, m)
-        digits.append(d)
-    return digits
-
-
 def floor_log(value: int, base: int) -> int:
     """Largest r with base^r <= value.  Integer comparisons only."""
     if value < 1:

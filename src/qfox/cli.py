@@ -30,7 +30,7 @@ from .coloring import (
     min_colors_on_diagram,
     verify_coloring,
 )
-from .diagram import Diagram, build_diagram, get_diagram, load_registry, parse_pd, render_pd
+from .diagram import Diagram, build_diagram, get_diagram, load_registry, parse_pd
 from .errors import QfoxError
 from .families import (
     PretzelParams,
@@ -143,7 +143,7 @@ def cmd_parse(args) -> int:
         "signs:      " + " ".join("%+d" % c.sign for c in d.crossings),
     ]
     if pd is not None:
-        lines.append("pd:         " + render_pd(pd))
+        lines.append(f"pd:         {pd}")
     _emit(args, payload, lines)
     return 0
 

@@ -163,21 +163,9 @@ def kernel_basis(mat: ModMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
-def is_nontrivially_colorable(d: Diagram, params: QuandleParams, reduced=None) -> bool:
-    """Whether some coloring uses more than one color: kernel dimension >= 2.
-
-    When the reduced polynomial is supplied, the divisibility implication
-    n | value(m)  =>  colorable  is re-checked and an inconsistency raises.
-    """
-    dim = len(kernel_basis(coloring_matrix(d, params)))
-    result = dim >= 2
-    if reduced is not None and not reduced.is_zero:
-        if reduced.evaluate(params.m) % params.n == 0 and not result:
-            raise ColoringError(
-                "internal inconsistency: modulus divides the reduced value "
-                "but only constant colorings exist"
-            )
-    return result
+def is_nontrivially_colorable(d: Diagram, params: QuandleParams) -> bool:
+    """Whether some coloring uses more than one color: kernel dimension >= 2."""
+    return len(kernel_basis(coloring_matrix(d, params))) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +281,16 @@ def coloring_from_anchors(
 
 
 def verify_coloring(d: Diagram, coloring: Coloring) -> bool:
-    """Check every crossing relation; works for composite moduli too."""
+    """Check that every arc has a color in 0..n-1 and every crossing
+    relation holds; works for composite moduli too."""
     params = QuandleParams(coloring.n, coloring.m)
     col = coloring.colors
-    if set(col) != set(d.arcs):
+    if set(col) != set(d.arcs) or not all(0 <= c < params.n for c in col.values()):
         return False
     for c in d.crossings:
         x, y, z = col[c.under_in], col[c.over], col[c.under_out]
         expect = quandle_op(params, x, y) if c.sign > 0 else quandle_op_inv(params, x, y)
-        if z % params.n != expect:
+        if z != expect:
             return False
     return True
 
@@ -323,30 +312,25 @@ def kh_witness(
     """
     if not reduced_alternating:
         raise ColoringError(
-            "kh_check needs the caller to assert a reduced alternating diagram"
+            "KH check needs the caller to assert a reduced alternating diagram"
         )
     p, m = params.n, params.m
     if not is_odd_prime(p):
-        raise ColoringError(f"kh_check needs an odd prime modulus, got {p}")
+        raise ColoringError(f"KH check needs an odd prime modulus, got {p}")
     if not 1 < m < p:
-        raise ColoringError(f"kh_check needs 1 < m < p, got m={m}, p={p}")
+        raise ColoringError(f"KH check needs 1 < m < p, got m={m}, p={p}")
     value = reduce_normalize(
         first_minor(alexander_matrix(d)), d.components
     ).evaluate(m)
     if value != p:
         raise ColoringError(
-            f"kh_check needs p equal to the reduced value at m: value {value}, p {p}"
+            f"KH check needs p equal to the reduced value at m: value {value}, p {p}"
         )
     q = len(d.arcs)
     for v in _orbit_representatives(d, params):
         if len(set(v)) == q:
             return Coloring(p, m, dict(zip(d.arcs, _affine_canonical(v, p))))
     return None
-
-
-def kh_check(d: Diagram, params: QuandleParams, reduced_alternating: bool) -> bool:
-    """Does some non-trivial coloring give pairwise distinct colors to all arcs?"""
-    return kh_witness(d, params, reduced_alternating) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -73,18 +73,6 @@ class Diagram:
             "components": self.components,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Diagram":
-        return cls(
-            name=data["name"],
-            arcs=tuple(data["arcs"]),
-            crossings=tuple(
-                Crossing(c["sign"], c["under_in"], c["over"], c["under_out"])
-                for c in data["crossings"]
-            ),
-            components=data["components"],
-        )
-
 
 # ---------------------------------------------------------------------------
 # PD text
@@ -123,10 +111,6 @@ def parse_pd(text: str) -> PdCode:
             if pos == len(body):
                 raise PdSyntaxError("trailing comma", position=pos + 3)
     return PdCode(tuple(crossings))
-
-
-def render_pd(pd: PdCode) -> str:
-    return str(pd)
 
 
 # ---------------------------------------------------------------------------
@@ -229,38 +213,6 @@ def build_diagram(pd: PdCode, name: str = "") -> Diagram:
         crossings=tuple(crossings),
         components=len(comps),
     )
-
-
-def validate(d: Diagram) -> list[str]:
-    """Return a list of invariant violations; empty means valid."""
-    problems: list[str] = []
-    arcs = set(d.arcs)
-    if sorted(d.arcs) != list(d.arcs):
-        problems.append("arc labels are not sorted")
-    if d.components < 1:
-        problems.append("component count must be >= 1")
-    ins: dict[int, int] = {a: 0 for a in d.arcs}
-    outs: dict[int, int] = {a: 0 for a in d.arcs}
-    for i, c in enumerate(d.crossings):
-        if c.sign not in (1, -1):
-            problems.append(f"crossing {i}: sign {c.sign} is not +-1")
-        for role, arc in (("under_in", c.under_in), ("over", c.over), ("under_out", c.under_out)):
-            if arc not in arcs:
-                problems.append(f"crossing {i}: {role} references unknown arc {arc}")
-        if c.under_in in ins:
-            ins[c.under_in] += 1
-        if c.under_out in outs:
-            outs[c.under_out] += 1
-    for a in d.arcs:
-        if ins.get(a) != 1:
-            problems.append(f"arc {a} is under_in of {ins.get(a, 0)} crossings, expected 1")
-        if outs.get(a) != 1:
-            problems.append(f"arc {a} is under_out of {outs.get(a, 0)} crossings, expected 1")
-    if d.crossings and len(d.arcs) != len(d.crossings):
-        problems.append(
-            f"{len(d.arcs)} arcs for {len(d.crossings)} crossings"
-        )
-    return problems
 
 
 def relabel_arcs(d: Diagram, first: list[int]) -> Diagram:

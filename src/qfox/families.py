@@ -213,10 +213,6 @@ class PretzelParams:
             raise DiagramError(f"pretzel parameter must be odd and >= 3, got {self.a}")
 
     @property
-    def l(self) -> int:
-        return (self.a - 1) // 2
-
-    @property
     def name(self) -> str:
         return f"P(-2,3,{self.a})"
 

@@ -7,13 +7,13 @@ integer rows at any integer t (relation_rows); its entries are linear in t,
 so the matrix over Z[t] is held as its values at t = 0 and t = 1.  A first
 minor of size n is one integer determinant (fraction-free Bareiss
 elimination) at each of t = 0, 1, ..., n, then exact Newton interpolation
-back to Z[t].  Every division on the way is checked for a remainder.
+back to Z[t].  Every division on the way, including the long division of
+exact_div, is an integer divmod checked for a remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 import re
 from typing import Iterable, Mapping
@@ -62,10 +62,6 @@ class LaurentPoly:
     @classmethod
     def t(cls) -> "LaurentPoly":
         return cls((1,), 1)
-
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
-        return cls((coeff,), exp)
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LaurentPoly":
@@ -133,9 +129,6 @@ class LaurentPoly:
                 out[i + j] += a * b
         return LaurentPoly(tuple(out), self.min_exp + other.min_exp)
 
-    def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(tuple(k * c for c in self.coeffs), self.min_exp)
-
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
         if self.is_zero:
@@ -153,7 +146,7 @@ class LaurentPoly:
             acc = acc * m + c
         return acc * m ** self.min_exp
 
-    # -- text and JSON forms --------------------------------------------
+    # -- text form ------------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -171,13 +164,6 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    def to_json(self) -> dict:
-        return {"min_exp": self.min_exp, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls(tuple(data["coeffs"]), data["min_exp"])
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?t(?:\^(-?\d+))?$|^(\d+)$")
@@ -219,33 +205,36 @@ def parse_poly(text: str) -> LaurentPoly:
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Divide p by q, requiring an exact quotient in Z[t, t^-1].
 
-    Raises InexactDivisionError (carrying the rational remainder) when q
-    does not divide p.
+    Long division from the top coefficient down, in integers: when the
+    quotient has integer coefficients every step divides exactly, so the
+    first inexact step, or a non-zero remainder at the end, raises
+    InexactDivisionError carrying the integer remainder left at that point.
     """
     if q.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero:
         return LaurentPoly()
-    shift = p.min_exp - q.min_exp
     # Work with plain coefficient lists, constant terms non-zero.
-    rem = [Fraction(c) for c in p.coeffs]
-    den = list(q.coeffs)
+    rem = list(p.coeffs)
+    den = q.coeffs
     dq = len(den) - 1
-    out: list[Fraction] = []
+    out: list[int] = []
     for top in range(len(rem) - 1, dq - 1, -1):
-        c = rem[top] / den[dq]
+        c, r = divmod(rem[top], den[dq])
+        if r:
+            break
         out.append(c)
         if c:
             for j in range(dq + 1):
                 rem[top - dq + j] -= c * den[j]
-    if any(rem) or any(c.denominator != 1 for c in out):
+    if any(rem):
         nz = [(p.min_exp + i, c) for i, c in enumerate(rem) if c]
-        detail = " + ".join(f"({c})t^{e}" for e, c in nz) or "non-integral quotient"
+        detail = " + ".join(f"({c})t^{e}" for e, c in nz)
         raise InexactDivisionError(
             f"{q} does not divide {p}: remainder {detail}", remainder=nz
         )
     out.reverse()
-    return LaurentPoly(tuple(int(c) for c in out), shift)
+    return LaurentPoly(tuple(out), p.min_exp - q.min_exp)
 
 
 def unit_equivalent(p: LaurentPoly, q: LaurentPoly) -> bool:
@@ -299,14 +288,6 @@ class AlexMatrix:
     @property
     def n_cols(self) -> int:
         return len(self.arc_labels)
-
-    @property
-    def rows(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        """The entries as LaurentPoly, built on each access."""
-        return tuple(
-            tuple(LaurentPoly((a, b - a)) for a, b in zip(r0, r1))
-            for r0, r1 in zip(self.at_0, self.at_1)
-        )
 
 
 def alexander_matrix(d: Diagram) -> AlexMatrix:

@@ -5,12 +5,16 @@ and interpolation (qfox.laurent.det_pencil); det_bareiss and det_cofactor
 compute the same polynomial directly, by fraction-free elimination over
 Z[t] and by cofactor expansion.  alexander_matrix_reference builds the
 relation matrix from LaurentPoly arithmetic, against the integer rows of
-qfox.laurent.relation_rows.  kernel_vectors lists every coloring that the
-orbit search walks up to the affine action, enumerate_colorings_brute lists
-them by exhaustive search, and rank reads the rank of a mod-p matrix off its
-row reduction.  pivot_rows_fraction is the Fraction elimination behind the
-integer one (qfox.laurent.bareiss) in collapse_and_check.  arc_of_edge
-numbers arcs with a union-find of its own, against build_diagram.
+qfox.laurent.relation_rows and the AlexMatrix values at_0/at_1, and is the
+source of every Z[t] matrix the tests need.  kernel_vectors lists every
+coloring that the orbit search walks up to the affine action,
+enumerate_colorings_brute lists them by exhaustive search, and rank reads
+the rank of a mod-p matrix off its row reduction.  pivot_rows_fraction is
+the Fraction elimination behind the integer one (qfox.laurent.bareiss) in
+collapse_and_check.  arc_of_edge numbers arcs with a union-find of its own,
+against build_diagram.  validate lists the invariants a built Diagram must
+satisfy, and base_m_digits expands an integer in base m, the digit count
+that qfox.bounds.floor_log computes without the digits.
 """
 
 from fractions import Fraction
@@ -25,7 +29,8 @@ from qfox.coloring import (
     kernel_basis,
     verify_coloring,
 )
-from qfox.diagram import PdCode
+from qfox.diagram import Diagram, PdCode
+from qfox.errors import BoundsError
 from qfox.laurent import LaurentPoly, exact_div
 
 
@@ -180,3 +185,48 @@ def pivot_rows_fraction(rows: list[list[int]]) -> tuple[list[int], Fraction]:
         product_of_pivots *= m[r][col]
         r += 1
     return pivots, product_of_pivots
+
+
+def validate(d: Diagram) -> list[str]:
+    """Return a list of invariant violations; empty means valid."""
+    problems: list[str] = []
+    arcs = set(d.arcs)
+    if sorted(d.arcs) != list(d.arcs):
+        problems.append("arc labels are not sorted")
+    if d.components < 1:
+        problems.append("component count must be >= 1")
+    ins: dict[int, int] = {a: 0 for a in d.arcs}
+    outs: dict[int, int] = {a: 0 for a in d.arcs}
+    for i, c in enumerate(d.crossings):
+        if c.sign not in (1, -1):
+            problems.append(f"crossing {i}: sign {c.sign} is not +-1")
+        for role, arc in (("under_in", c.under_in), ("over", c.over), ("under_out", c.under_out)):
+            if arc not in arcs:
+                problems.append(f"crossing {i}: {role} references unknown arc {arc}")
+        if c.under_in in ins:
+            ins[c.under_in] += 1
+        if c.under_out in outs:
+            outs[c.under_out] += 1
+    for a in d.arcs:
+        if ins.get(a) != 1:
+            problems.append(f"arc {a} is under_in of {ins.get(a, 0)} crossings, expected 1")
+        if outs.get(a) != 1:
+            problems.append(f"arc {a} is under_out of {outs.get(a, 0)} crossings, expected 1")
+    if d.crossings and len(d.arcs) != len(d.crossings):
+        problems.append(
+            f"{len(d.arcs)} arcs for {len(d.crossings)} crossings"
+        )
+    return problems
+
+
+def base_m_digits(p: int, m: int) -> list[int]:
+    """Digits d_0..d_r of p in base m, least significant first, d_r >= 1."""
+    if p < 1:
+        raise BoundsError(f"digit expansion needs a positive integer, got {p}")
+    if m < 2:
+        raise BoundsError(f"digit expansion needs base >= 2, got {m}")
+    digits = []
+    while p:
+        p, d = divmod(p, m)
+        digits.append(d)
+    return digits

@@ -11,7 +11,6 @@ from qfox import (
     BoundsError,
     CompositeValueError,
     applicability,
-    base_m_digits,
     get_diagram,
     improved_lower_bound,
     is_odd_prime,
@@ -25,6 +24,7 @@ from qfox import (
 )
 from qfox.bounds import _strong_lucas_probable_prime, floor_log, probable_only
 from qfox.laurent import alexander_matrix, first_minor, reduce_normalize
+from oracles import base_m_digits
 
 TREFOIL_POLY = parse_poly("1 - t + t^2")
 P73 = parse_poly("2 - 3t + 3t^2 - 3t^3 + 2t^4")

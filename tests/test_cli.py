@@ -280,6 +280,22 @@ def test_collapse_rejects_trivial_coloring(capsys, tmp_path):
     assert "non-trivial coloring required" in err
 
 
+@pytest.mark.parametrize("shift", [151, -151])
+def test_color_outside_zero_to_p_is_invalid(capsys, tmp_path, shift):
+    # Moving a repeated color of the 9-color witness by p keeps every
+    # relation mod p but would count as a 10th color in the collapse.
+    witness = run_json(capsys, "color", "P(-2,3,5)", "--m", "2", "--min")["witness"]
+    colors = witness["colors"]
+    arc = next(a for a, c in colors.items() if list(colors.values()).count(c) > 1)
+    colors[arc] += shift
+    f = tmp_path / "shifted.json"
+    f.write_text(json.dumps(witness), encoding="utf-8")
+    rc, out, _ = run(capsys, "color", "P(-2,3,5)", "--verify", str(f))
+    assert (rc, out) == (1, "coloring: INVALID\n")
+    rc, out, err = run(capsys, "collapse", "P(-2,3,5)", "--coloring", str(f))
+    assert (rc, out, err) == (1, "", "error: collapse needs a valid coloring of this diagram\n")
+
+
 @pytest.mark.parametrize("subcommand", [["collapse", "3_1", "--coloring"], ["color", "3_1", "--verify"]])
 @pytest.mark.parametrize(
     "content",

@@ -20,7 +20,6 @@ from qfox import (
     get_diagram,
     is_nontrivially_colorable,
     kernel_basis,
-    kh_check,
     kh_witness,
     kl_lower_bound,
     load_registry,
@@ -283,7 +282,7 @@ def test_min_matches_brute_force(l4a1):
 
 def test_kh_torus_2_3():
     d = torus_diagram(TorusParams(2, 3))
-    assert kh_check(d, QuandleParams(7, 3), reduced_alternating=True)
+    assert kh_witness(d, QuandleParams(7, 3), reduced_alternating=True) is not None
 
 
 def test_kh_torus_2_5():
@@ -296,24 +295,24 @@ def test_kh_torus_2_5():
 
 def test_kh_figure_eight():
     d = get_diagram("4_1")
-    assert kh_check(d, QuandleParams(5, 4), reduced_alternating=True)
+    assert kh_witness(d, QuandleParams(5, 4), reduced_alternating=True) is not None
 
 
 def test_kh_false_when_minimum_stays_low():
     d = pretzel_diagram(PretzelParams(5))   # 10 arcs, minimum is 9
-    assert not kh_check(d, QuandleParams(151, 2), reduced_alternating=True)
+    assert kh_witness(d, QuandleParams(151, 2), reduced_alternating=True) is None
 
 
 def test_kh_preconditions(trefoil):
     with pytest.raises(ColoringError):
-        kh_check(trefoil, QuandleParams(7, 3), reduced_alternating=False)
+        kh_witness(trefoil, QuandleParams(7, 3), reduced_alternating=False)
     with pytest.raises(ColoringError):
-        kh_check(trefoil, QuandleParams(9, 2), reduced_alternating=True)
+        kh_witness(trefoil, QuandleParams(9, 2), reduced_alternating=True)
     with pytest.raises(ColoringError):
-        kh_check(trefoil, QuandleParams(7, 9), reduced_alternating=True)
+        kh_witness(trefoil, QuandleParams(7, 9), reduced_alternating=True)
     with pytest.raises(ColoringError):
         # value at m is 3, not 5
-        kh_check(trefoil, QuandleParams(5, 2), reduced_alternating=True)
+        kh_witness(trefoil, QuandleParams(5, 2), reduced_alternating=True)
 
 
 # -- collapse ---------------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from qfox import (
-    Diagram,
     DiagramError,
     PdSyntaxError,
     RegistryError,
@@ -13,12 +12,10 @@ from qfox import (
     get_diagram,
     load_registry,
     parse_pd,
-    render_pd,
-    validate,
 )
 from qfox.diagram import parse_registry_text, relabel_arcs
 from qfox.families import braid_closure_pd
-from oracles import arc_of_edge
+from oracles import arc_of_edge, validate
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 
@@ -28,7 +25,7 @@ TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 
 def test_parse_render_roundtrip():
     pd = parse_pd(TREFOIL_PD)
-    assert render_pd(pd) == TREFOIL_PD
+    assert str(pd) == TREFOIL_PD
     assert len(pd) == 3
 
 
@@ -132,10 +129,6 @@ def test_crossing_sign_convention():
 def test_empty_pd_is_zero_crossing_unknot():
     d = build_diagram(parse_pd("PD[]"))
     assert (len(d.crossings), len(d.arcs), d.components) == (0, 0, 1)
-
-
-def test_json_roundtrip(trefoil):
-    assert Diagram.from_json(trefoil.to_json()) == trefoil
 
 
 # -- registry ----------------------------------------------------------------

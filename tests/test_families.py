@@ -155,7 +155,6 @@ def test_torus_mincol_interval_rejects_tiny_m():
 
 def test_pretzel_params():
     pp = PretzelParams(5)
-    assert pp.l == 2
     assert pp.name == "P(-2,3,5)"
 
 
