@@ -124,8 +124,11 @@ def probable_only(n: int) -> bool:
     return n >= MR_DETERMINISTIC_BELOW
 
 
-def smallest_prime_factor(n: int) -> int:
-    """Smallest prime factor of n >= 2; trial division, then Pollard rho."""
+def smallest_prime_factor(n: int) -> int | None:
+    """Smallest prime factor of n >= 2: trial division, then Pollard rho on
+    n and on every factor it splits off.  The rho steps of the whole call
+    share one budget of 2^18; None when it runs out before n is split into
+    primes."""
     if n < 2:
         raise BoundsError(f"no prime factor of {n}")
     for p in (2, 3, 5):
@@ -139,32 +142,42 @@ def smallest_prime_factor(n: int) -> int:
             return f
         f += inc[i]
         i = (i + 1) % 8
-    if f * f > n or _is_prime(n):
+    if f * f > n:
         return n
-    d = _pollard_rho(n)
-    return min(smallest_prime_factor(d), smallest_prime_factor(n // d))
-
-
-def _pollard_rho(n: int) -> int:
     from math import gcd
     import random
 
-    rng = random.Random(n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
+    # No factor is below f now, so a factor that passes the primality test
+    # is a prime factor, and the smallest of those is the answer.
+    budget = 1 << 18
+    primes = []
+    todo = [n]
+    while todo:
+        n = todo.pop()
+        if _is_prime(n):
+            primes.append(n)
+            continue
+        rng = random.Random(n)
+        d = n
+        while d == n:
+            c = rng.randrange(1, n)
+            x = y = rng.randrange(2, n)
+            d = 1
+            while d == 1:
+                if budget == 0:
+                    return None
+                budget -= 1
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                d = gcd(abs(x - y), n)
+        todo += [d, n // d]
+    return min(primes)
 
 
 def require_odd_prime(value: int) -> None:
-    """Raise unless value is an odd prime; composites report a factor."""
+    """Raise unless value is an odd prime; composites report a factor when
+    smallest_prime_factor finds one within its budget."""
     if value < 2:
         raise BoundsError(f"{value} is not an odd prime")
     if value == 2:
@@ -215,8 +228,7 @@ def kl_lower_bound(p: int, m: int) -> int:
 class _Profile:
     k: int
     max_abs: int
-    ck: int
-    penultimate: int    # last non-zero coefficient strictly below degree k
+    case: int           # 1 when c_k = 1 and the last non-zero c_i below k is negative, else 2
     exceptional: bool   # the two last non-zero coefficients below k are both negative
 
 
@@ -240,27 +252,27 @@ def _profile(poly: LaurentPoly) -> _Profile:
     if k < 2:
         raise BoundsError(f"degree {k} polynomial carries no bound information")
     nz = [i for i, v in enumerate(c) if v != 0]
-    penult = c[nz[-2]]
-    exceptional = len(nz) >= 3 and c[nz[-2]] < 0 and c[nz[-3]] < 0
     return _Profile(
         k=k,
         max_abs=max(abs(v) for v in c),
-        ck=c[k],
-        penultimate=penult,
-        exceptional=exceptional,
+        case=1 if c[k] == 1 and c[nz[-2]] < 0 else 2,
+        exceptional=len(nz) >= 3 and c[nz[-2]] < 0 and c[nz[-3]] < 0,
     )
+
+
+def _hypothesis(prof: _Profile, m: int) -> str:
+    if m > prof.max_abs + 1:
+        return "strict"
+    if m > prof.max_abs and not prof.exceptional:
+        return "weaker"
+    return "none"
 
 
 def applicability(poly: LaurentPoly, m: int) -> str:
     """Which evaluation hypothesis m satisfies: 'strict' (m > max|c_i|+1),
     'weaker' (m > max|c_i|, allowed when the pattern is not the exceptional
     double-negative tail), or 'none'."""
-    prof = _profile(poly)
-    if m > prof.max_abs + 1:
-        return "strict"
-    if m > prof.max_abs and not prof.exceptional:
-        return "weaker"
-    return "none"
+    return _hypothesis(_profile(poly), m)
 
 
 class Lemma31Value(NamedTuple):
@@ -277,7 +289,7 @@ def lemma31_value(poly: LaurentPoly, m: int) -> Lemma31Value:
     and raises.
     """
     prof = _profile(poly)
-    if applicability(poly, m) == "none":
+    if _hypothesis(prof, m) == "none":
         raise BoundsError(
             f"m = {m} does not satisfy the evaluation hypothesis "
             f"(max coefficient {prof.max_abs})"
@@ -286,7 +298,7 @@ def lemma31_value(poly: LaurentPoly, m: int) -> Lemma31Value:
     if p < 1:
         raise BoundsError(f"value at m = {m} is {p}, not positive")
     fl = floor_log(p, m)
-    predicted = prof.k - 1 if (prof.ck == 1 and prof.penultimate < 0) else prof.k
+    predicted = prof.k - 1 if prof.case == 1 else prof.k
     if fl != predicted:
         raise BoundsError(
             f"case-table mismatch: floor(log_{m} {p}) = {fl}, predicted {predicted}"
@@ -353,18 +365,17 @@ def improved_lower_bound(poly: LaurentPoly, m: int, name: str = "") -> BoundRepo
     prof = _profile(poly)
     p = poly.evaluate(m)
     require_odd_prime(p)
-    app = applicability(poly, m)
-    case = 1 if (prof.ck == 1 and prof.penultimate < 0) else 2
+    app = _hypothesis(prof, m)
     improved = None
     if app != "none":
-        improved = prof.k + 1 if case == 1 else prof.k + 2
+        improved = prof.k + 1 if prof.case == 1 else prof.k + 2
     return BoundReport(
         knot_name=name,
         poly=poly,
         m=m,
         p=p,
         applicability=app,
-        case=case,
+        case=prof.case,
         kl=kl_lower_bound(p, m),
         improved=improved,
     )

@@ -107,6 +107,22 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _note_probable(values, payload: dict, lines: list[str]) -> None:
+    """Flag the output when a listed prime is only a probable prime."""
+    if any(probable_only(v) for v in values):
+        lines.append("note: primality is probabilistic at this size")
+        payload["probable_prime_only"] = True
+
+
+def _read_coloring(path: str) -> Coloring:
+    with open(path, encoding="utf-8") as fh:
+        return Coloring.from_json(json.load(fh))
+
+
+def _witness_lines(witness: Coloring) -> list[str]:
+    return ["witness (arc: color):", *(f"  {a}: {c}" for a, c in sorted(witness.colors.items()))]
+
+
 def _print_csv(hits: list[tuple[int, int]]) -> None:
     print("m,value")
     for m, v in hits:
@@ -194,6 +210,7 @@ def cmd_bounds(args) -> int:
             lines.append(
                 "%-4d %-10d %-3d %s" % (m, v, kl, imp if imp is not None else "-")
             )
+        _note_probable((v for _, v in hits), payload, lines)
         _emit(args, payload, lines)
         return 0
 
@@ -237,9 +254,7 @@ def cmd_bounds(args) -> int:
             f"p:    {p}" + ("  (auto: poly(m))" if payload.get("p_auto") else ""),
             f"kl:   {kl}  ({why})",
         ]
-    if probable_only(p):
-        lines.append("note: primality is probabilistic at this size")
-        payload["probable_prime_only"] = True
+    _note_probable([p], payload, lines)
     _emit(args, payload, lines)
     return 0
 
@@ -249,8 +264,7 @@ def cmd_color(args) -> int:
     payload: dict = {"command": "color", "input": args.input, "source": source}
 
     if args.verify:
-        with open(args.verify, encoding="utf-8") as fh:
-            coloring = Coloring.from_json(json.load(fh))
+        coloring = _read_coloring(args.verify)
         ok = verify_coloring(d, coloring)
         payload.update({"p": coloring.n, "m": coloring.m, "valid": ok})
         _emit(args, payload, [f"coloring: {'valid' if ok else 'INVALID'}"])
@@ -268,10 +282,7 @@ def cmd_color(args) -> int:
         lines = [f"KH check (p={p}, m={args.m}): {'true' if witness is not None else 'false'}"]
         if witness is not None:
             payload["witness"] = witness.to_json()
-            lines += [
-                "witness (arc: color):",
-                *(f"  {a}: {c}" for a, c in sorted(witness.colors.items())),
-            ]
+            lines += _witness_lines(witness)
         _emit(args, payload, lines)
         return 0
 
@@ -281,8 +292,7 @@ def cmd_color(args) -> int:
         lines = [
             f"minimum distinct colors on this diagram: {count}"
             + ("  (p auto-set to %d)" % p if payload.get("p_auto") else ""),
-            "witness (arc: color):",
-            *(f"  {a}: {c}" for a, c in sorted(witness.colors.items())),
+            *_witness_lines(witness),
         ]
         _emit(args, payload, lines)
         return 0
@@ -306,8 +316,7 @@ def cmd_collapse(args) -> int:
     d, source = _resolve(args.input)
     payload: dict = {"command": "collapse", "input": args.input, "source": source}
     if args.coloring:
-        with open(args.coloring, encoding="utf-8") as fh:
-            coloring = Coloring.from_json(json.load(fh))
+        coloring = _read_coloring(args.coloring)
     else:
         if args.m is None:
             raise QfoxError("collapse needs --m M (plus --p P unless poly(m) is prime)")
@@ -411,9 +420,7 @@ def cmd_scan(args) -> int:
     }
     lines = [f"poly: {red}", "m    value"]
     lines += ["%-4d %d" % (m, v) for m, v in hits]
-    if any(probable_only(v) for _, v in hits):
-        lines.append("note: primality is probabilistic at this size")
-        payload["probable_prime_only"] = True
+    _note_probable((v for _, v in hits), payload, lines)
     _emit(args, payload, lines)
     return 0
 

@@ -16,7 +16,7 @@ form: first entry 0, first entry differing from it 1.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from math import gcd
 
@@ -115,27 +115,25 @@ def coloring_matrix(d: Diagram, params: QuandleParams) -> ModMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _row_reduce(rows: list[list[int]], p: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """RREF mod p.  Returns (pivots, reduced) where pivots lists
-    (original_row_index, column) per pivot, in elimination order."""
+def _row_reduce(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
+    """RREF mod p.  Returns (pivots, reduced) where pivots lists the pivot
+    column of each row of reduced, in elimination order."""
     m = [[v % p for v in r] for r in rows]
-    orig = list(range(len(m)))
     ncols = len(m[0]) if m else 0
-    pivots: list[tuple[int, int]] = []
+    pivots: list[int] = []
     r = 0
     for col in range(ncols):
         sel = next((i for i in range(r, len(m)) if m[i][col]), None)
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
-        orig[r], orig[sel] = orig[sel], orig[r]
         inv = pow(m[r][col], -1, p)
         m[r] = [(v * inv) % p for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col]:
                 f = m[i][col]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append((orig[r], col))
+        pivots.append(col)
         r += 1
     return pivots, m
 
@@ -151,7 +149,7 @@ def kernel_basis(mat: ModMatrix) -> list[tuple[int, ...]]:
     p = mat.modulus
     pivots, red = _row_reduce([list(r) for r in mat.rows], p)
     ncols = len(mat.arc_labels)
-    pivot_cols = {col: i for i, (_, col) in enumerate(pivots)}
+    pivot_cols = {col: i for i, col in enumerate(pivots)}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for f in free_cols:
@@ -272,7 +270,7 @@ def coloring_from_anchors(
         unit[col_of[arc]], unit[q] = 1, val
         rows.append(unit)
     pivots, red = _row_reduce(rows, p)
-    if any(col == q for _, col in pivots):
+    if q in pivots:
         raise ColoringError("anchor constraints are inconsistent")
     if len(pivots) < q:
         raise ColoringError(f"anchors leave {q - len(pivots)} kernel degrees of freedom")
@@ -352,16 +350,7 @@ class CollapseReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "distinct": self.distinct,
-            "det_b": self.det_b,
-            "bound": self.bound,
-            "divisible": self.divisible,
-            "bounded": self.bounded,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def collapse_and_check(d: Diagram, coloring: Coloring) -> CollapseReport:

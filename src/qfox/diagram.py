@@ -16,7 +16,7 @@ order of their smallest edge label.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 import os
 import re
 from importlib import resources
@@ -47,14 +47,6 @@ class Crossing:
     over: int
     under_out: int
 
-    def to_json(self) -> dict:
-        return {
-            "sign": self.sign,
-            "under_in": self.under_in,
-            "over": self.over,
-            "under_out": self.under_out,
-        }
-
 
 @dataclass(frozen=True)
 class Diagram:
@@ -66,12 +58,9 @@ class Diagram:
     components: int
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "arcs": list(self.arcs),
-            "crossings": [c.to_json() for c in self.crossings],
-            "components": self.components,
-        }
+        out = asdict(self)
+        out["arcs"], out["crossings"] = list(self.arcs), list(out["crossings"])
+        return out
 
 
 # ---------------------------------------------------------------------------

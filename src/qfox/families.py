@@ -217,34 +217,12 @@ class PretzelParams:
         return f"P(-2,3,{self.a})"
 
 
-def _hironaka_quotient(p: int, q: int) -> LaurentPoly:
-    """Alexander polynomial of P(p,q,-2) as the rational-form quotient:
-    (1 + 2t + t^(1+p) + t^(1+q) - t^3 - t^(p+q) + t^(p+2) + t^(q+2)
-     + 2t^(p+q+2) + t^(3+p+q)) / (1+t)^3."""
-    num = (
-        LaurentPoly.from_terms(
-            [(0, 1), (1, 2), (1 + p, 1), (1 + q, 1), (3, -1), (p + q, -1),
-             (p + 2, 1), (q + 2, 1), (p + q + 2, 2), (p + q + 3, 1)]
-        )
-    )
-    den = LaurentPoly((1, 1), 0)
-    cube = den * den * den
-    return exact_div(num, cube)
-
-
 def pretzel_alexander(pp: PretzelParams) -> LaurentPoly:
-    """1 - t + sum_{i=3}^{a} (-1)^(i+1) t^i - t^(a+2) + t^(a+3), checked
-    against the rational form with (p,q) = (3,a)."""
+    """1 - t + sum_{i=3}^{a} (-1)^(i+1) t^i - t^(a+2) + t^(a+3)."""
     a = pp.a
     terms = [(0, 1), (1, -1), (a + 2, -1), (a + 3, 1)]
     terms += [(i, 1 if i % 2 == 1 else -1) for i in range(3, a + 1)]
-    closed = LaurentPoly.from_terms(terms)
-    rational = _hironaka_quotient(3, a)
-    if closed != rational:
-        raise BoundsError(
-            f"pretzel polynomial mismatch for a={a}: {closed} vs {rational}"
-        )
-    return reduce_normalize(closed, components=1)
+    return reduce_normalize(LaurentPoly.from_terms(terms), components=1)
 
 
 def _pretzel_connectors(pp: PretzelParams) -> tuple[list[str], list[tuple[Port, Port]]]:

@@ -14,7 +14,9 @@ the Fraction elimination behind the integer one (qfox.laurent.bareiss) in
 collapse_and_check.  arc_of_edge numbers arcs with a union-find of its own,
 against build_diagram.  validate lists the invariants a built Diagram must
 satisfy, and base_m_digits expands an integer in base m, the digit count
-that qfox.bounds.floor_log computes without the digits.
+that qfox.bounds.floor_log computes without the digits.  hironaka_quotient
+is the rational form of the pretzel polynomial, an exact division by
+(1+t)^3, against the closed form of qfox.families.pretzel_alexander.
 """
 
 from fractions import Fraction
@@ -230,3 +232,15 @@ def base_m_digits(p: int, m: int) -> list[int]:
         p, d = divmod(p, m)
         digits.append(d)
     return digits
+
+
+def hironaka_quotient(p: int, q: int) -> LaurentPoly:
+    """Alexander polynomial of P(p,q,-2) as the rational-form quotient:
+    (1 + 2t + t^(1+p) + t^(1+q) - t^3 - t^(p+q) + t^(p+2) + t^(q+2)
+     + 2t^(p+q+2) + t^(3+p+q)) / (1+t)^3."""
+    num = LaurentPoly.from_terms(
+        [(0, 1), (1, 2), (1 + p, 1), (1 + q, 1), (3, -1), (p + q, -1),
+         (p + 2, 1), (q + 2, 1), (p + q + 2, 2), (p + q + 3, 1)]
+    )
+    den = LaurentPoly((1, 1), 0)
+    return exact_div(num, den * den * den)

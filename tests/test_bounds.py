@@ -1,17 +1,21 @@
 """Primality, digit counting, and the two lower bounds."""
 
+import os
 import random
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qfox
 from qfox import (
     BoundsError,
     CompositeValueError,
     applicability,
-    get_diagram,
     improved_lower_bound,
     is_odd_prime,
     kl_lower_bound,
@@ -134,6 +138,38 @@ def test_smallest_prime_factor():
     assert smallest_prime_factor(91) == 7
     assert smallest_prime_factor(2 * 3 * 5 * 7) == 2
     assert smallest_prime_factor((1 << 67) - 1) == 193707721
+
+
+# (2^89 - 1)(2^107 - 1): no factor below 10^6, and Pollard rho needs far
+# more steps than its budget to split it.
+TWO_LARGE_FACTORS = ((1 << 89) - 1) * ((1 << 107) - 1)
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run python on qfox from this tree in a child process; a search that
+    never returns fails the test after 30 s instead of hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qfox.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=30, env=env
+    )
+
+
+def test_smallest_prime_factor_gives_up_past_its_budget():
+    proc = _run_python(
+        "-c",
+        "from qfox.bounds import smallest_prime_factor; "
+        f"print(smallest_prime_factor({TWO_LARGE_FACTORS}))",
+    )
+    assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
+
+
+@pytest.mark.parametrize("subcommand", ["color", "bounds"])
+def test_composite_p_with_two_large_factors_exits_1(subcommand):
+    proc = _run_python(
+        "-m", "qfox.cli", subcommand, "3_1", "--m", "2", "--p", str(TWO_LARGE_FACTORS)
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {TWO_LARGE_FACTORS} is not an odd prime\n"
 
 
 def test_require_odd_prime_passes_silently():

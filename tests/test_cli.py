@@ -118,6 +118,22 @@ def test_bounds_scan_json(capsys):
     assert all(r["improved"] == 3 for r in payload["rows"])
 
 
+def test_bounds_scan_flags_probable_primes(capsys):
+    """All 6 hits of this window lie above psi_13, where primality is only
+    probable; scan and bounds --m flag such values the same way."""
+    window = "2000000000060..2000000000160"
+    rc, out, _ = run(capsys, "bounds", "3_1", "--scan", window)
+    assert rc == 0
+    assert out.splitlines()[-1] == "note: primality is probabilistic at this size"
+    payload = run_json(capsys, "bounds", "3_1", "--scan", window)
+    assert len(payload["rows"]) == 6
+    assert payload["probable_prime_only"] is True
+    rc, out, _ = run(capsys, "bounds", "3_1", "--scan", window, "--format", "csv")
+    assert rc == 0
+    assert len(out.splitlines()) == 7 and "note" not in out
+    assert "probable_prime_only" not in run_json(capsys, "bounds", "3_1", "--scan", "2..15")
+
+
 def test_bounds_link_uses_kl_only(capsys):
     rc, out, _ = run(capsys, "bounds", "L4a1_1", "--m", "2")
     assert rc == 0

@@ -8,7 +8,6 @@ from qfox import (
     BoundsError,
     CompositeValueError,
     DiagramError,
-    LaurentPoly,
     PretzelParams,
     TorusParams,
     alexander_matrix,
@@ -28,6 +27,7 @@ from qfox import (
     verify_coloring,
 )
 from qfox.families import pretzel_anchors, torus_braid_word
+from oracles import hironaka_quotient
 
 COPRIME_PAIRS = [
     (a, b) for a in range(2, 10) for b in range(a + 1, 11) if gcd(a, b) == 1
@@ -181,11 +181,14 @@ def test_pretzel_alexander_knowns(a, expected):
 
 @pytest.mark.parametrize("a", [3, 5, 7, 9])
 def test_pretzel_alexander_alternating_units(a):
-    # the closed form is also cross-checked internally against the
-    # cyclotomic quotient formula; reaching here means they agreed
     poly = pretzel_alexander(PretzelParams(a))
     assert poly.degree == a + 3
     assert lspace_pattern_check(poly)
+
+
+def test_pretzel_closed_form_equals_rational_form():
+    for a in range(3, 100, 2):
+        assert pretzel_alexander(PretzelParams(a)) == hironaka_quotient(3, a), a
 
 
 @pytest.mark.parametrize("a", [3, 5, 7, 9, 11])
