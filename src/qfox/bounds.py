@@ -125,9 +125,10 @@ def probable_only(n: int) -> bool:
 
 
 def smallest_prime_factor(n: int) -> int | None:
-    """Smallest prime factor of n >= 2: trial division, then Pollard rho on
-    n and on every factor it splits off.  The rho steps of the whole call
-    share one budget of 2^18; None when it runs out before n is split into
+    """Smallest prime factor of n >= 2: trial division, then Pollard rho
+    (Brent's cycle finding, one gcd per batch of _RHO_BATCH steps) on n and
+    on every factor it splits off.  The rho steps of the whole call share
+    one budget of 2^18; None when it runs out before n is split into
     primes."""
     if n < 2:
         raise BoundsError(f"no prime factor of {n}")
@@ -144,7 +145,6 @@ def smallest_prime_factor(n: int) -> int | None:
         i = (i + 1) % 8
     if f * f > n:
         return n
-    from math import gcd
     import random
 
     # No factor is below f now, so a factor that passes the primality test
@@ -160,19 +160,55 @@ def smallest_prime_factor(n: int) -> int | None:
         rng = random.Random(n)
         d = n
         while d == n:
-            c = rng.randrange(1, n)
-            x = y = rng.randrange(2, n)
-            d = 1
-            while d == 1:
-                if budget == 0:
-                    return None
-                budget -= 1
-                x = (x * x + c) % n
-                y = (y * y + c) % n
-                y = (y * y + c) % n
-                d = gcd(abs(x - y), n)
+            d, steps = _brent(n, rng.randrange(1, n), rng.randrange(2, n), budget)
+            budget -= steps
+            if d is None:
+                return None
         todo += [d, n // d]
     return min(primes)
+
+
+_RHO_BATCH = 128
+
+
+def _brent(n: int, c: int, y: int, budget: int) -> tuple[int | None, int]:
+    """A divisor d > 1 of n from the rho walk y -> y^2 + c mod n, and the
+    steps taken.  Brent's cycle finding compares y with the walk's value x
+    at the last power of two, multiplying the differences into q and taking
+    gcd(q, n) once per batch of _RHO_BATCH steps; a batch whose gcd is n is
+    walked again one step at a time (those steps are not counted).  d = n
+    means this walk failed, and d is None when the next gcd lies past the
+    budget."""
+    from math import gcd
+
+    steps = 0
+    g = q = r = 1
+    while g == 1:
+        if steps + r > budget:
+            return None, steps
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        steps += r
+        k = 0
+        while k < r and g == 1:
+            m = min(_RHO_BATCH, r - k, budget - steps)
+            if m == 0:
+                return None, steps
+            ys = y
+            for _ in range(m):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            steps += m
+            g = gcd(q, n)
+            k += m
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(abs(x - ys), n)
+    return g, steps
 
 
 def require_odd_prime(value: int) -> None:

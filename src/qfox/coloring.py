@@ -106,7 +106,7 @@ class ModMatrix:
 def coloring_matrix(d: Diagram, params: QuandleParams) -> ModMatrix:
     """Relation matrix over Z_n whose kernel is the space of colorings."""
     n = params.n
-    rows = tuple(tuple(x % n for x in row) for row in relation_rows(d, params.m))
+    rows = tuple([tuple([x % n for x in row]) for row in relation_rows(d, params.m)])
     return ModMatrix(rows=rows, modulus=n, arc_labels=tuple(d.arcs))
 
 
@@ -179,7 +179,7 @@ def _affine_canonical(v: Sequence[int], p: int) -> tuple[int, ...]:
     if j is None:
         raise ColoringError("constant vector has no canonical form")
     scale = pow((v[j] - base) % p, -1, p)
-    return tuple(((x - base) * scale) % p for x in v)
+    return tuple([((x - base) * scale) % p for x in v])
 
 
 def _orbit_representatives(d: Diagram, params: QuandleParams):

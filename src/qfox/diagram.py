@@ -88,7 +88,7 @@ def parse_pd(text: str) -> PdCode:
             raise PdSyntaxError(
                 f"expected X[a,b,c,d] near {body[pos:pos + 16]!r}", position=pos + 3
             )
-        labels = tuple(int(g) for g in mt.groups())
+        labels = tuple([int(g) for g in mt.groups()])
         if any(v <= 0 for v in labels):
             raise PdSyntaxError(f"edge labels must be positive: {labels}", position=pos + 3)
         crossings.append(labels)
@@ -216,10 +216,10 @@ def relabel_arcs(d: Diagram, first: list[int]) -> Diagram:
     return replace(
         d,
         arcs=tuple(range(1, len(d.arcs) + 1)),
-        crossings=tuple(
+        crossings=tuple([
             Crossing(c.sign, new_id[c.under_in], new_id[c.over], new_id[c.under_out])
             for c in d.crossings
-        ),
+        ]),
     )
 
 

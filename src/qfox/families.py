@@ -78,7 +78,7 @@ def _assemble(over_flags: list[str], connectors: list[tuple[Port, Port]]) -> PdC
         p0 = entry.get((c, under))
         if p0 is None or (c, _STRAND[_OPP[p0]]) not in entry:
             raise DiagramError(f"crossing {c} was not traversed on both strands")
-        quads.append(tuple(labels[seen[(c, q)]] for q in _CCW[p0]))
+        quads.append(tuple([labels[seen[(c, q)]] for q in _CCW[p0]]))
     return PdCode(tuple(quads))
 
 

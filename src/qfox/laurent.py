@@ -5,21 +5,24 @@ integer coefficients; nothing in this module touches floating point.
 The module also builds the crossing/arc relation matrix of a diagram as
 integer rows at any integer t (relation_rows); its entries are linear in t,
 so the matrix over Z[t] is held as its values at t = 0 and t = 1.  A first
-minor of size n is one integer determinant (fraction-free Bareiss
-elimination) at each of t = 0, 1, ..., n, then exact Newton interpolation
-back to Z[t].  Every division on the way, including the long division of
-exact_div, is an integer divmod checked for a remainder.
+minor of size n is det(A + tB) for the minor's rows, taken by sparse
+elimination and interpolation modulo a Mersenne prime above twice a proven
+coefficient bound (the product of the rows' coefficient 1-norms, at most
+4^n for relation rows; see qfox.sparse), so no division needs checking; the
+dense integer route is a test oracle.  Exact division (exact_div) is long
+division by integer divmod checked for a remainder, and bareiss, the
+integer elimination, serves the collapse checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 import re
 from typing import Iterable, Mapping
 
 from .diagram import Diagram
 from .errors import DiagramError, InexactDivisionError, NormalizationError
+from .sparse import pencil_det
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class LaurentPoly:
     min_exp: int = 0
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple([int(c) for c in self.coeffs])
         min_exp = self.min_exp
         lo = 0
         while lo < len(coeffs) and coeffs[lo] == 0:
@@ -74,7 +77,7 @@ class LaurentPoly:
         if not acc:
             return cls()
         lo, hi = min(acc), max(acc)
-        return cls(tuple(acc.get(e, 0) for e in range(lo, hi + 1)), lo)
+        return cls(tuple([acc.get(e, 0) for e in range(lo, hi + 1)]), lo)
 
     # -- structure ------------------------------------------------------
 
@@ -109,11 +112,11 @@ class LaurentPoly:
         lo = min(self.min_exp, other.min_exp)
         hi = max(self.degree, other.degree)
         return LaurentPoly(
-            tuple(self.coeff(e) + other.coeff(e) for e in range(lo, hi + 1)), lo
+            tuple([self.coeff(e) + other.coeff(e) for e in range(lo, hi + 1)]), lo
         )
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple(-c for c in self.coeffs), self.min_exp)
+        return LaurentPoly(tuple([-c for c in self.coeffs]), self.min_exp)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -241,7 +244,7 @@ def unit_equivalent(p: LaurentPoly, q: LaurentPoly) -> bool:
     """True when p = ±t^n q for some integer n."""
     if p.is_zero or q.is_zero:
         return p.is_zero and q.is_zero
-    return p.coeffs == q.coeffs or p.coeffs == tuple(-c for c in q.coeffs)
+    return p.coeffs == q.coeffs or p.coeffs == tuple([-c for c in q.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -346,53 +349,6 @@ def bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by bareiss: the signed last
-    pivot when every row is a pivot row, else 0."""
-    pivots, last, sign = bareiss(rows)
-    return sign * last if len(pivots) == len(rows) else 0
-
-
-def _newton_expand(values: list[int]) -> tuple[int, ...]:
-    """Coefficients of the integer polynomial f with f(x) = values[x].
-
-    The Newton coefficients c_k = (forward difference)^k f(0) / k! of a
-    polynomial with integer coefficients are integers; each division is
-    checked, and a remainder raises InexactDivisionError.  The Newton form
-    sum c_k x(x-1)...(x-k+1) is then expanded by Horner's rule.
-    """
-    newton = []
-    diffs = list(values)
-    for k in range(len(values)):
-        c, r = divmod(diffs[0], factorial(k))
-        if r:
-            raise InexactDivisionError(
-                f"Newton coefficient {k}: {k}! does not divide {diffs[0]}",
-                remainder=r,
-            )
-        newton.append(c)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    coeffs: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):
-        # coeffs * (x - k) + c_k
-        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += newton[k]
-    return tuple(coeffs)
-
-
-def det_pencil(a: list[list[int]], b: list[list[int]]) -> LaurentPoly:
-    """det(A + tB) for square integer matrices A and B of size n.
-
-    The determinant has degree at most n, so one integer determinant at
-    each of t = 0, 1, ..., n fixes it; exact Newton interpolation recovers it.
-    """
-    values = [
-        det_int([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-        for t in range(len(a) + 1)
-    ]
-    return LaurentPoly(_newton_expand(values))
-
-
 def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> LaurentPoly:
     """Determinant after deleting one row and one column.
 
@@ -404,19 +360,17 @@ def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> Lauren
         raise DiagramError("a diagram without crossings has no first minor")
     if not (0 <= drop_row < mat.n_rows and 0 <= drop_col < mat.n_cols):
         raise IndexError("minor indices out of range")
-
-    def minor(rows: list[list[int]]) -> list[list[int]]:
-        return [
-            [x for j, x in enumerate(r) if j != drop_col]
-            for i, r in enumerate(rows)
-            if i != drop_row
-        ]
-
-    at_0, at_1 = minor(mat.at_0), minor(mat.at_1)
-    if at_0 and len(at_0) != len(at_0[0]):
+    if mat.n_rows > 1 and mat.n_rows != mat.n_cols:
         raise ValueError("minor of a non-square matrix")
-    slope = [[y - x for x, y in zip(r0, r1)] for r0, r1 in zip(at_0, at_1)]
-    return det_pencil(at_0, slope)
+    rows = []
+    for i, (r0, r1) in enumerate(zip(mat.at_0, mat.at_1)):
+        if i != drop_row:
+            rows.append([
+                (j - (j > drop_col), x, y - x)
+                for j, (x, y) in enumerate(zip(r0, r1))
+                if j != drop_col and (x or y)
+            ])
+    return LaurentPoly(tuple(pencil_det(rows)))
 
 
 # ---------------------------------------------------------------------------

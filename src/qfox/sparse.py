@@ -1,0 +1,217 @@
+"""Sparse Gaussian elimination modulo a prime, and the determinant of an
+integer pencil A + tB by evaluation and interpolation modulo one Mersenne
+prime.
+
+A row is a list of (column, a, b) triples, one per entry a + b*t that is not
+identically zero; columns are numbered 0..n-1.  The pivot order is chosen
+once, by Markowitz's rule (the shortest remaining row, then its sparsest
+column), in an elimination at a generic point.  That order is compiled into
+a fixed sequence of updates on a flat value array, covering every entry the
+order can fill at any t, and the sequence is replayed at t = 0, 1, ..., n.
+Where a replayed pivot vanishes, a fresh Markowitz elimination at that t
+gives the value instead.  Newton interpolation mod p then gives the
+coefficients of det(A + tB) mod p.
+
+Exactness rests on a bound, not on checked divisions.  Expanding the
+product over the rows of the sums of |a_ij| + |b_ij| covers every term of
+the Leibniz expansion, so B = prod_i sum_j (|a_ij| + |b_ij|) bounds the
+1-norm of the coefficient vector of det(A + tB).  With p > 2B each
+coefficient is the symmetric lift of its residue.  p is the smallest
+Mersenne prime 2^e - 1 above 2B from a fixed table of exponents whose
+primes are proven (Lucas-Lehmer), so no primality test and no Chinese
+remaindering runs.
+"""
+
+from __future__ import annotations
+
+from math import prod
+
+from .errors import DiagramError
+
+# Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 up.
+MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+    9941, 11213, 19937,
+)
+
+# The point of the ordering elimination; any value far from 0..n will do.
+_GENERIC_T = 0x9E3779B97F4A7C15
+
+Row = list[tuple[int, int, int]]
+
+
+def pencil_modulus(rows: list[Row]) -> int:
+    """The smallest tabulated Mersenne prime above twice the coefficient
+    bound of det(A + tB); DiagramError when the bound is past the table."""
+    bound = prod(sum(abs(a) + abs(b) for _, a, b in row) for row in rows)
+    for e in MERSENNE_EXPONENTS:
+        if (1 << e) - 1 > 2 * bound:
+            return (1 << e) - 1
+    raise DiagramError(
+        f"determinant coefficient bound of {bound.bit_length()} bits is past "
+        f"the largest tabulated modulus 2^{MERSENNE_EXPONENTS[-1]} - 1"
+    )
+
+
+def pencil_det(rows: list[Row]) -> list[int]:
+    """The n + 1 coefficients of det(A + tB), lowest degree first, for a
+    square pencil given as n rows of (column, a, b) triples."""
+    n = len(rows)
+    if not n:
+        return [1]
+    p = pencil_modulus(rows)
+
+    def at(t: int) -> list[dict[int, int]]:
+        return [{j: v for j, a, b in row if (v := (a + b * t) % p)} for row in rows]
+
+    order = _markowitz(at(_GENERIC_T), p)[1]
+    compiled = _compile(rows, order) if len(order) == n else None
+    values = []
+    for t in range(n + 1):
+        v = _replay(compiled, t, p) if compiled else None
+        values.append(_markowitz(at(t), p)[0] if v is None else v)
+    half = p // 2
+    return [c - p if c > half else c for c in _interpolate(values, p)]
+
+
+def _perm_sign(order: list[tuple[int, int]]) -> int:
+    """Sign of the permutation taking each pivot row to its pivot column."""
+    col = dict(order)
+    seen = set()
+    sign = 1
+    for start in col:
+        if start in seen:
+            continue
+        i, length = start, 0
+        while i not in seen:
+            seen.add(i)
+            i = col[i]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int, int]]]:
+    """Determinant mod p of a square matrix of rows {column: non-zero value},
+    by elimination with Markowitz pivoting, and the (row, column) pivots in
+    elimination order.  A singular matrix gives 0 and a shorter order."""
+    rows = [dict(r) for r in rows]
+    in_col: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            in_col.setdefault(j, set()).add(i)
+    live = set(range(len(rows)))
+    order = []
+    det = 1
+    while live:
+        i = min(live, key=lambda i: (len(rows[i]), i))
+        piv_row = rows[i]
+        if not piv_row:
+            return 0, order
+        j = min(piv_row, key=lambda j: (len(in_col[j]), j))
+        live.discard(i)
+        for jj in piv_row:
+            in_col[jj].discard(i)
+        order.append((i, j))
+        pv = piv_row[j]
+        det = det * pv % p
+        inv = pow(pv, -1, p)
+        for k in list(in_col[j]):
+            r = rows[k]
+            f = r[j] * inv % p
+            for jj, v in piv_row.items():
+                x = (r.get(jj, 0) - f * v) % p
+                if x:
+                    if jj not in r:
+                        in_col[jj].add(k)
+                    r[jj] = x
+                elif jj in r:
+                    del r[jj]
+                    in_col[jj].discard(k)
+    return _perm_sign(order) * det % p, order
+
+
+def _compile(rows: list[Row], order: list[tuple[int, int]]):
+    """The elimination in `order` as updates on a flat array of entries.
+
+    Entries are placed by structure, never by value, so the array holds
+    every entry that can be non-zero at any t.  A step clears the pivot
+    column from each target row k without division: row k becomes
+    pv * row k - v * pivot row, where v is its entry in the pivot column.
+    Returns (the initial entries as (slot, a, b), the steps, the slot count,
+    the sign of the pivot permutation); a step is (pivot slot, targets),
+    and a target is (the slot of v, [(slot, pivot-row slot) for entries the
+    pivot row also has], [slots the pivot row lacks, which are only
+    scaled])."""
+    slot: dict[tuple[int, int], int] = {}
+    init = []
+    cols = []
+    in_col: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        cols.append({j for j, _, _ in row})
+        for j, a, b in row:
+            slot[i, j] = len(slot)
+            init.append((slot[i, j], a, b))
+            in_col.setdefault(j, set()).add(i)
+    steps = []
+    for i, j in order:
+        piv_cols = cols[i] - {j}
+        for jj in cols[i]:
+            in_col[jj].discard(i)
+        targets = []
+        for k in in_col[j]:
+            for jj in piv_cols - cols[k]:
+                slot[k, jj] = len(slot)
+                in_col[jj].add(k)
+            cols[k] = (cols[k] | piv_cols) - {j}
+            pairs = [(slot[k, jj], slot[i, jj]) for jj in piv_cols]
+            scaled = [slot[k, jj] for jj in cols[k] - piv_cols]
+            targets.append((slot[k, j], pairs, scaled))
+        steps.append((slot[i, j], targets))
+    return init, steps, len(slot), _perm_sign(order)
+
+
+def _replay(compiled, t: int, p: int) -> int | None:
+    """det(A + tB) mod p by the compiled elimination; None when a pivot
+    vanishes at this t.  Each target row scaled by a pivot pv puts one
+    factor pv into `den`, which is divided out once at the end."""
+    init, steps, size, det = compiled
+    vals = [0] * size
+    for s, a, b in init:
+        vals[s] = (a + b * t) % p
+    den = 1
+    for piv, targets in steps:
+        pv = vals[piv]
+        if not pv:
+            return None
+        det = det * pv % p
+        for s, pairs, scaled in targets:
+            v = vals[s]
+            if v:
+                den = den * pv % p
+                for dst, src in pairs:
+                    vals[dst] = (pv * vals[dst] - v * vals[src]) % p
+                for dst in scaled:
+                    vals[dst] = pv * vals[dst] % p
+    return det * pow(den, -1, p) % p
+
+
+def _interpolate(values: list[int], p: int) -> list[int]:
+    """Coefficients mod p of the polynomial f of degree < len(values) with
+    f(x) = values[x]: the Newton coefficients are the forward differences
+    at 0 divided by k!, and the Newton form sum c_k x(x-1)...(x-k+1) is
+    expanded by Horner's rule."""
+    newton = []
+    diffs = list(values)
+    fact = 1
+    for k in range(len(values)):
+        if k:
+            fact = fact * k % p
+        newton.append(diffs[0] * pow(fact, -1, p) % p)
+        diffs = [(b - a) % p for a, b in zip(diffs, diffs[1:])]
+    coeffs: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        coeffs = [(a - k * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] = (coeffs[0] + newton[k]) % p
+    return coeffs

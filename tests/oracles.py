@@ -1,9 +1,12 @@
 """Reference computations kept as oracles for the tests.
 
-None of them runs in the package.  First minors are computed by evaluation
-and interpolation (qfox.laurent.det_pencil); det_bareiss and det_cofactor
-compute the same polynomial directly, by fraction-free elimination over
-Z[t] and by cofactor expansion.  alexander_matrix_reference builds the
+None of them runs in the package.  qfox.laurent.first_minor takes det(A + tB)
+by sparse elimination mod a Mersenne prime (qfox.sparse); det_pencil
+computes it in integers, one dense Bareiss determinant (det_int) at each of
+t = 0..n and exact Newton interpolation (_newton_expand) with every
+division checked, and det_bareiss and det_cofactor compute the same
+polynomial directly, by fraction-free elimination over Z[t] and by cofactor
+expansion.  alexander_matrix_reference builds the
 relation matrix from LaurentPoly arithmetic, against the integer rows of
 qfox.laurent.relation_rows and the AlexMatrix values at_0/at_1, and is the
 source of every Z[t] matrix the tests need.  kernel_vectors lists every
@@ -21,6 +24,7 @@ is the rational form of the pretzel polynomial, an exact division by
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 from qfox.coloring import (
     Coloring,
@@ -32,8 +36,55 @@ from qfox.coloring import (
     verify_coloring,
 )
 from qfox.diagram import Diagram, PdCode
-from qfox.errors import BoundsError
-from qfox.laurent import LaurentPoly, exact_div
+from qfox.errors import BoundsError, InexactDivisionError
+from qfox.laurent import LaurentPoly, bareiss, exact_div
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by bareiss: the signed last
+    pivot when every row is a pivot row, else 0."""
+    pivots, last, sign = bareiss(rows)
+    return sign * last if len(pivots) == len(rows) else 0
+
+
+def _newton_expand(values: list[int]) -> tuple[int, ...]:
+    """Coefficients of the integer polynomial f with f(x) = values[x].
+
+    The Newton coefficients c_k = (forward difference)^k f(0) / k! of a
+    polynomial with integer coefficients are integers; each division is
+    checked, and a remainder raises InexactDivisionError.  The Newton form
+    sum c_k x(x-1)...(x-k+1) is then expanded by Horner's rule.
+    """
+    newton = []
+    diffs = list(values)
+    for k in range(len(values)):
+        c, r = divmod(diffs[0], factorial(k))
+        if r:
+            raise InexactDivisionError(
+                f"Newton coefficient {k}: {k}! does not divide {diffs[0]}",
+                remainder=r,
+            )
+        newton.append(c)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        # coeffs * (x - k) + c_k
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += newton[k]
+    return tuple(coeffs)
+
+
+def det_pencil(a: list[list[int]], b: list[list[int]]) -> LaurentPoly:
+    """det(A + tB) for square integer matrices A and B of size n.
+
+    The determinant has degree at most n, so one integer determinant at
+    each of t = 0, 1, ..., n fixes it; exact Newton interpolation recovers it.
+    """
+    values = [
+        det_int([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for t in range(len(a) + 1)
+    ]
+    return LaurentPoly(_newton_expand(values))
 
 
 def det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:

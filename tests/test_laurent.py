@@ -20,17 +20,26 @@ from qfox import (
     reduce_normalize,
     unit_equivalent,
 )
-from qfox.laurent import (
-    AlexMatrix,
+from qfox import sparse
+from qfox.laurent import AlexMatrix, normalize_unit, relation_rows
+from qfox.families import (
+    PretzelParams,
+    TorusParams,
+    braid_closure,
+    pretzel_alexander,
+    pretzel_diagram,
+    torus_alexander,
+    torus_diagram,
+)
+
+from oracles import (
     _newton_expand,
+    alexander_matrix_reference,
+    det_bareiss,
+    det_cofactor,
     det_int,
     det_pencil,
-    normalize_unit,
-    relation_rows,
 )
-from qfox.families import PretzelParams, TorusParams, braid_closure, pretzel_diagram, torus_diagram
-
-from oracles import alexander_matrix_reference, det_bareiss, det_cofactor
 
 ONE = LaurentPoly.one()
 
@@ -239,6 +248,57 @@ def test_newton_expand_rejects_non_integer_polynomial():
     assert _newton_expand([1, 3, 7]) == (1, 1, 1)  # 1 + x + x^2
     with pytest.raises(InexactDivisionError):
         _newton_expand([0, 0, 1])  # x(x - 1)/2
+
+
+def test_vanishing_replayed_pivot_reruns_markowitz(monkeypatch):
+    """det [[t, 1], [1, 2]] = 2t - 1.  The generic order pivots on t (both
+    rows and both columns have two entries; ties go to the lowest index),
+    which vanishes at t = 0, so Markowitz runs again there and only there."""
+    calls = []
+    markowitz = sparse._markowitz
+    monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append(rows) or markowitz(rows, p))
+    assert sparse.pencil_det([[(0, 0, 1), (1, 1, 0)], [(0, 1, 0), (1, 2, 0)]]) == [-1, 2, 0]
+    assert len(calls) == 2
+    assert calls[1] == [{1: 1}, {0: 1, 1: 2}]  # the matrix at t = 0
+
+
+@pytest.mark.parametrize(
+    "diagram,closed_form,exponent",
+    [
+        (torus_diagram(TorusParams(2, 31)), torus_alexander(TorusParams(2, 31)), 61),
+        (pretzel_diagram(PretzelParams(33)), pretzel_alexander(PretzelParams(33)), 89),
+        (torus_diagram(TorusParams(5, 13)), torus_alexander(TorusParams(5, 13)), 107),
+        (pretzel_diagram(PretzelParams(55)), pretzel_alexander(PretzelParams(55)), 127),
+        (pretzel_diagram(PretzelParams(95)), pretzel_alexander(PretzelParams(95)), 521),
+    ],
+    ids=["T(2,31)", "P(-2,3,33)", "T(5,13)", "P(-2,3,55)", "P(-2,3,95)"],
+)
+def test_first_minor_under_each_modulus(monkeypatch, diagram, closed_form, exponent):
+    """The coefficient bound of the minor picks 2^e - 1 for each of the
+    first five Mersenne exponents, and the reduced polynomial is the
+    closed form."""
+    moduli = []
+    modulus = sparse.pencil_modulus
+    monkeypatch.setattr(sparse, "pencil_modulus", lambda rows: moduli.append(modulus(rows)) or moduli[-1])
+    minor = first_minor(alexander_matrix(diagram))
+    assert moduli == [(1 << exponent) - 1]
+    assert reduce_normalize(minor, components=1) == closed_form
+
+
+def test_pencil_modulus_is_the_first_mersenne_prime_above_twice_the_bound():
+    assert sparse.pencil_modulus([[(0, (1 << 60) - 1, 0)]]) == (1 << 61) - 1
+    assert sparse.pencil_modulus([[(0, 1 << 59, 1 << 59)]]) == (1 << 89) - 1
+
+
+def test_first_minor_past_the_modulus_table_raises():
+    """2^19937 - 1 is the last modulus: a bound of 2^19935 fits under it,
+    2^19937 does not."""
+    top = sparse.MERSENNE_EXPONENTS[-1]
+    fits = 1 << (top - 2)
+    assert first_minor(AlexMatrix([[1, 1], [1, fits]], [[1, 1], [1, fits]], (1, 2))) == LaurentPoly((fits,))
+    huge = 1 << top
+    with pytest.raises(DiagramError, match="past the largest tabulated modulus"):
+        first_minor(AlexMatrix([[1, 1], [1, huge]], [[1, 1], [1, huge]], (1, 2)))
 
 
 # -- the diagram pipeline ---------------------------------------------------
