@@ -261,11 +261,29 @@ def kl_lower_bound(p: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class _Profile:
+class Profile:
+    """What the bounds read from the coefficients c_0..c_k of a normalized
+    knot polynomial; one profile serves every m."""
+
     k: int
     max_abs: int
     case: int           # 1 when c_k = 1 and the last non-zero c_i below k is negative, else 2
     exceptional: bool   # the two last non-zero coefficients below k are both negative
+
+    def hypothesis(self, m: int) -> str:
+        """The evaluation hypothesis m satisfies; see applicability."""
+        if m > self.max_abs + 1:
+            return "strict"
+        if m > self.max_abs and not self.exceptional:
+            return "weaker"
+        return "none"
+
+    def improved(self, m: int) -> int | None:
+        """The improved bound at m: k+1 in case 1, k+2 in case 2, and None
+        when m satisfies no evaluation hypothesis."""
+        if self.hypothesis(m) == "none":
+            return None
+        return self.k + 1 if self.case == 1 else self.k + 2
 
 
 def _knot_coeffs(poly: LaurentPoly) -> list[int]:
@@ -282,13 +300,15 @@ def _knot_coeffs(poly: LaurentPoly) -> list[int]:
     return c
 
 
-def _profile(poly: LaurentPoly) -> _Profile:
+def profile(poly: LaurentPoly) -> Profile:
+    """The coefficient profile of a normalized, palindromic knot polynomial
+    of even degree k >= 2; BoundsError for any other polynomial."""
     c = _knot_coeffs(poly)
     k = len(c) - 1
     if k < 2:
         raise BoundsError(f"degree {k} polynomial carries no bound information")
     nz = [i for i, v in enumerate(c) if v != 0]
-    return _Profile(
+    return Profile(
         k=k,
         max_abs=max(abs(v) for v in c),
         case=1 if c[k] == 1 and c[nz[-2]] < 0 else 2,
@@ -296,19 +316,11 @@ def _profile(poly: LaurentPoly) -> _Profile:
     )
 
 
-def _hypothesis(prof: _Profile, m: int) -> str:
-    if m > prof.max_abs + 1:
-        return "strict"
-    if m > prof.max_abs and not prof.exceptional:
-        return "weaker"
-    return "none"
-
-
 def applicability(poly: LaurentPoly, m: int) -> str:
     """Which evaluation hypothesis m satisfies: 'strict' (m > max|c_i|+1),
     'weaker' (m > max|c_i|, allowed when the pattern is not the exceptional
     double-negative tail), or 'none'."""
-    return _hypothesis(_profile(poly), m)
+    return profile(poly).hypothesis(m)
 
 
 class Lemma31Value(NamedTuple):
@@ -324,8 +336,8 @@ def lemma31_value(poly: LaurentPoly, m: int) -> Lemma31Value:
     Any mismatch with the directly computed floor is an invariant violation
     and raises.
     """
-    prof = _profile(poly)
-    if _hypothesis(prof, m) == "none":
+    prof = profile(poly)
+    if prof.hypothesis(m) == "none":
         raise BoundsError(
             f"m = {m} does not satisfy the evaluation hypothesis "
             f"(max coefficient {prof.max_abs})"
@@ -398,22 +410,18 @@ def improved_lower_bound(poly: LaurentPoly, m: int, name: str = "") -> BoundRepo
     when m satisfies the evaluation hypothesis; the Kauffman-Lopes bound is
     always reported.
     """
-    prof = _profile(poly)
+    prof = profile(poly)
     p = poly.evaluate(m)
     require_odd_prime(p)
-    app = _hypothesis(prof, m)
-    improved = None
-    if app != "none":
-        improved = prof.k + 1 if prof.case == 1 else prof.k + 2
     return BoundReport(
         knot_name=name,
         poly=poly,
         m=m,
         p=p,
-        applicability=app,
+        applicability=prof.hypothesis(m),
         case=prof.case,
         kl=kl_lower_bound(p, m),
-        improved=improved,
+        improved=prof.improved(m),
     )
 
 

@@ -9,6 +9,7 @@ pipeline error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ from .bounds import (
     kl_lower_bound,
     prime_scan,
     probable_only,
+    profile,
     require_odd_prime,
 )
 from .coloring import (
@@ -198,15 +200,16 @@ def cmd_bounds(args) -> int:
             "rows": [],
         }
         lines = [f"poly: {red}", "m    p          kl  improved"]
+        # prime_scan has settled every hit, so no row tests its value again;
+        # without hits nothing reads the profile, which the polynomial 1 lacks.
+        prof = profile(red) if hits and d.components == 1 else None
         for m, v in hits:
             kl = kl_lower_bound(v, m)
             row = {"m": m, "p": v, "kl": kl}
-            if d.components == 1:
-                rep = improved_lower_bound(red, m, name=d.name)
-                if rep.improved is not None:
-                    row["improved"] = rep.improved
+            imp = prof.improved(m) if prof is not None else None
+            if imp is not None:
+                row["improved"] = imp
             payload["rows"].append(row)
-            imp = row.get("improved")
             lines.append(
                 "%-4d %-10d %-3d %s" % (m, v, kl, imp if imp is not None else "-")
             )
@@ -430,7 +433,10 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later main call in the process; parse_args leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="qfox",
         description="Quandle colorings and minimum-color bounds from PD codes.",

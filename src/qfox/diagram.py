@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
+import functools
 import os
 import re
 from importlib import resources
@@ -249,20 +250,26 @@ def parse_registry_text(text: str) -> dict[str, PdCode]:
     return out
 
 
-def _builtin_registry_text() -> str:
-    return resources.files("qfox").joinpath("data/registry.txt").read_text()
+@functools.cache
+def _builtin_registry() -> dict[str, PdCode]:
+    """The registry shipped with the package, parsed on the first call; the
+    package data does not change while the process runs."""
+    return parse_registry_text(
+        resources.files("qfox").joinpath("data/registry.txt").read_text()
+    )
 
 
 def load_registry(path: str | None = None) -> dict[str, PdCode]:
-    """Load the named-diagram registry.
+    """Load the named-diagram registry as a new dict the caller may change.
 
     Order of precedence: explicit path argument, the QF_REGISTRY
-    environment variable, then the registry shipped with the package.
+    environment variable, then the registry shipped with the package.  A
+    path is read on every call; the shipped registry is parsed once.
     """
     if path is None:
         path = os.environ.get(ENV_REGISTRY)
     if path is None:
-        return parse_registry_text(_builtin_registry_text())
+        return dict(_builtin_registry())
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_registry_text(fh.read())

@@ -7,10 +7,11 @@ identically zero; columns are numbered 0..n-1.  The pivot order is chosen
 once, by Markowitz's rule (the shortest remaining row, then its sparsest
 column), in an elimination at a generic point.  That order is compiled into
 a fixed sequence of updates on a flat value array, covering every entry the
-order can fill at any t, and the sequence is replayed at t = 0, 1, ..., n.
-Where a replayed pivot vanishes, a fresh Markowitz elimination at that t
-gives the value instead.  Newton interpolation mod p then gives the
-coefficients of det(A + tB) mod p.
+order can fill at any t, and the sequence is replayed at t = 2, 3, ..., n + 2.
+The relation entries t, 1 - t and -1 vanish at no such t, which is why the
+points start at 2.  Where a replayed pivot vanishes all the same, a fresh
+Markowitz elimination at that t gives the value instead.  Newton
+interpolation mod p then gives the coefficients of det(A + tB) mod p.
 
 Exactness rests on a bound, not on checked divisions.  Expanding the
 product over the rows of the sums of |a_ij| + |b_ij| covers every term of
@@ -34,8 +35,12 @@ MERSENNE_EXPONENTS = (
     9941, 11213, 19937,
 )
 
-# The point of the ordering elimination; any value far from 0..n will do.
+# The point of the ordering elimination; any value far from the
+# interpolation points will do.
 _GENERIC_T = 0x9E3779B97F4A7C15
+
+# The interpolation points are t = _FIRST_T, ..., _FIRST_T + n.
+_FIRST_T = 2
 
 Row = list[tuple[int, int, int]]
 
@@ -67,7 +72,7 @@ def pencil_det(rows: list[Row]) -> list[int]:
     order = _markowitz(at(_GENERIC_T), p)[1]
     compiled = _compile(rows, order) if len(order) == n else None
     values = []
-    for t in range(n + 1):
+    for t in range(_FIRST_T, _FIRST_T + n + 1):
         v = _replay(compiled, t, p) if compiled else None
         values.append(_markowitz(at(t), p)[0] if v is None else v)
     half = p // 2
@@ -198,10 +203,11 @@ def _replay(compiled, t: int, p: int) -> int | None:
 
 
 def _interpolate(values: list[int], p: int) -> list[int]:
-    """Coefficients mod p of the polynomial f of degree < len(values) with
-    f(x) = values[x]: the Newton coefficients are the forward differences
-    at 0 divided by k!, and the Newton form sum c_k x(x-1)...(x-k+1) is
-    expanded by Horner's rule."""
+    """Coefficients mod p of the polynomial f of degree <= n, where
+    n + 1 = len(values), with f(t) = values[t - 2] at t = 2, 3, ..., n + 2:
+    the Newton coefficients are the forward differences at 2 divided by k!,
+    and the Newton form sum c_k (t-2)(t-3)...(t-k-1) is expanded by
+    Horner's rule."""
     newton = []
     diffs = list(values)
     fact = 1
@@ -212,6 +218,6 @@ def _interpolate(values: list[int], p: int) -> list[int]:
         diffs = [(b - a) % p for a, b in zip(diffs, diffs[1:])]
     coeffs: list[int] = []
     for k in range(len(newton) - 1, -1, -1):
-        coeffs = [(a - k * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs = [(a - (_FIRST_T + k) * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] = (coeffs[0] + newton[k]) % p
     return coeffs

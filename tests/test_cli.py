@@ -1,12 +1,17 @@
 """End-to-end runs of the command-line front end, in process."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from qfox import cli
+import qfox
+from qfox import bounds, cli
 
 SCHEMA = json.loads(
     (Path(__file__).parent / "data" / "cli_schema.json").read_text(encoding="utf-8")
@@ -61,6 +66,17 @@ def test_parse_json_schema(capsys):
     payload = run_json(capsys, "parse", "L4a1_1")
     assert payload["diagram"]["components"] == 2
     assert len(payload["diagram"]["crossings"]) == 4
+
+
+def test_registry_env_override_after_a_default_registry_call(capsys, tmp_path, monkeypatch):
+    assert run(capsys, "parse", "3_1")[0] == 0
+    reg = tmp_path / "reg.txt"
+    reg.write_text("myknot = PD[X[4,2,5,1],X[2,6,3,5],X[6,4,1,3]]\n", encoding="utf-8")
+    monkeypatch.setenv("QF_REGISTRY", str(reg))
+    assert run(capsys, "parse", "myknot")[0] == 0
+    rc, _, err = run(capsys, "parse", "3_1")
+    assert rc == 1
+    assert "registry has: myknot" in err
 
 
 def test_registry_env_override(capsys, tmp_path, monkeypatch):
@@ -425,3 +441,65 @@ def test_output_is_deterministic(capsys):
     j1 = run_json(capsys, "color", "L4a1_1", "--p", "5", "--m", "2", "--min")
     j2 = run_json(capsys, "color", "L4a1_1", "--p", "5", "--m", "2", "--min")
     assert j1 == j2
+
+
+# -- state kept across main calls in one process --------------------------------
+
+
+USAGE_ERROR = ["bounds"]
+EXIT_1 = ["parse", "9_99"]
+VALID = ["bounds", "3_1", "--m", "2"]
+
+
+def _in_child(argv):
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(Path(qfox.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfox.cli", *argv], capture_output=True, text=True, timeout=60, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_requests_in_one_process_print_what_they_print_first(capsys, monkeypatch):
+    """A usage error, a failing request and a valid one, in that order in
+    one process, each print what they print as the first request of a
+    fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")
+    firsts = [_in_child(argv) for argv in (USAGE_ERROR, EXIT_1, VALID)]
+    assert [rc for rc, _, _ in firsts] == [2, 1, 0]
+    assert [_in_process(capsys, argv) for argv in (USAGE_ERROR, EXIT_1, VALID)] == firsts
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for argv in (VALID, EXIT_1, USAGE_ERROR, VALID):
+        _in_process(capsys, argv)
+    assert built.count("qfox") == 1
+    assert len(built) == len(set(built))    # each subcommand's parser once, too
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_bounds_scan_tests_each_value_once(capsys, monkeypatch, fmt):
+    """prime_scan tests the 14 values of 2..15 once each, and the rows of
+    every format reuse its verdicts."""
+    calls = []
+    is_prime = bounds._is_prime
+    monkeypatch.setattr(bounds, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert run(capsys, "bounds", "3_1", "--scan", "2..15", "--format", fmt)[0] == 0
+    assert len(calls) == 14

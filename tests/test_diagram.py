@@ -178,6 +178,27 @@ def test_registry_env_override(tmp_path, monkeypatch):
     assert get_diagram("only", reg).components == 1
 
 
+def test_registry_env_override_after_a_default_registry_call(tmp_path, monkeypatch):
+    assert "3_1" in load_registry()
+    path = tmp_path / "reg.txt"
+    path.write_text("only = %s\n" % TREFOIL_PD)
+    monkeypatch.setenv("QF_REGISTRY", str(path))
+    assert set(load_registry()) == {"only"}
+    monkeypatch.delenv("QF_REGISTRY")
+    assert "3_1" in load_registry()
+
+
+def test_load_registry_returns_a_dict_of_its_own():
+    shipped = dict(load_registry())
+    reg = load_registry()
+    reg["3_1"] = parse_pd("PD[]")
+    reg.pop("4_1")
+    reg["mine"] = parse_pd(TREFOIL_PD)
+    assert load_registry() == shipped
+    load_registry().clear()
+    assert load_registry() == shipped
+
+
 def test_registry_rejects_duplicates():
     text = "a = %s\na = %s\n" % (TREFOIL_PD, TREFOIL_PD)
     with pytest.raises(RegistryError):

@@ -251,15 +251,30 @@ def test_newton_expand_rejects_non_integer_polynomial():
 
 
 def test_vanishing_replayed_pivot_reruns_markowitz(monkeypatch):
-    """det [[t, 1], [1, 2]] = 2t - 1.  The generic order pivots on t (both
-    rows and both columns have two entries; ties go to the lowest index),
-    which vanishes at t = 0, so Markowitz runs again there and only there."""
+    """det [[t - 2, 1], [1, 2]] = 2t - 5.  The generic order pivots on t - 2
+    (both rows and both columns have two entries; ties go to the lowest
+    index), which vanishes at the first interpolation point t = 2, so
+    Markowitz runs again there and only there."""
     calls = []
     markowitz = sparse._markowitz
     monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append(rows) or markowitz(rows, p))
-    assert sparse.pencil_det([[(0, 0, 1), (1, 1, 0)], [(0, 1, 0), (1, 2, 0)]]) == [-1, 2, 0]
+    assert sparse.pencil_det([[(0, -2, 1), (1, 1, 0)], [(0, 1, 0), (1, 2, 0)]]) == [-5, 2, 0]
     assert len(calls) == 2
-    assert calls[1] == [{1: 1}, {0: 1, 1: 2}]  # the matrix at t = 0
+    assert calls[1] == [{1: 1}, {0: 1, 1: 2}]  # the matrix at t = 2
+
+
+def test_relation_minors_need_no_second_markowitz(monkeypatch, registry):
+    """No relation entry t, 1 - t or -1 vanishes at the interpolation points
+    t >= 2, so the generic pivot order replays at every point."""
+    diagrams = [build_diagram(pd, name) for name, pd in registry.items()]
+    diagrams += [torus_diagram(TorusParams(5, 7)), pretzel_diagram(PretzelParams(21))]
+    calls = []
+    markowitz = sparse._markowitz
+    monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append(rows) or markowitz(rows, p))
+    for d in diagrams:
+        calls.clear()
+        first_minor(alexander_matrix(d))
+        assert len(calls) == 1, d.name
 
 
 @pytest.mark.parametrize(
