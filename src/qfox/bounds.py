@@ -271,7 +271,9 @@ class Profile:
     exceptional: bool   # the two last non-zero coefficients below k are both negative
 
     def hypothesis(self, m: int) -> str:
-        """The evaluation hypothesis m satisfies; see applicability."""
+        """Which evaluation hypothesis m satisfies: 'strict' (m > max|c_i|+1),
+        'weaker' (m > max|c_i|, allowed when the pattern is not the
+        exceptional double-negative tail), or 'none'."""
         if m > self.max_abs + 1:
             return "strict"
         if m > self.max_abs and not self.exceptional:
@@ -316,13 +318,6 @@ def profile(poly: LaurentPoly) -> Profile:
     )
 
 
-def applicability(poly: LaurentPoly, m: int) -> str:
-    """Which evaluation hypothesis m satisfies: 'strict' (m > max|c_i|+1),
-    'weaker' (m > max|c_i|, allowed when the pattern is not the exceptional
-    double-negative tail), or 'none'."""
-    return profile(poly).hypothesis(m)
-
-
 class Lemma31Value(NamedTuple):
     floor_log: int
     predicted: int
@@ -352,14 +347,6 @@ def lemma31_value(poly: LaurentPoly, m: int) -> Lemma31Value:
             f"case-table mismatch: floor(log_{m} {p}) = {fl}, predicted {predicted}"
         )
     return Lemma31Value(floor_log=fl, predicted=predicted)
-
-
-def lspace_pattern_check(poly: LaurentPoly) -> bool:
-    """All non-zero coefficients are +-1 and alternate in sign."""
-    nz = [v for v in poly.coeffs if v != 0]
-    if not nz or any(abs(v) != 1 for v in nz):
-        return False
-    return all(a * b < 0 for a, b in zip(nz, nz[1:]))
 
 
 # ---------------------------------------------------------------------------

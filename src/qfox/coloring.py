@@ -3,7 +3,11 @@
 The quandle operation is x * y = m x + (1 - m) y (mod n) with m a unit of
 Z_n; m = -1 gives the dihedral operation 2y - x.  Colorings of a diagram
 are exactly the kernel vectors of the relation matrix reduced mod n, so
-for prime n everything reduces to linear algebra over a field.
+for prime n everything reduces to linear algebra over a field: the kernel
+and the coloring pinned by anchors are read off the column-ordered sparse
+echelon form of qfox.sparse by back substitution, and the collapse checks
+take their pivot rows and det B from the same elimination, run mod a prime
+above twice a Hadamard bound on the collapsed matrix (sparse.pivot_minor).
 
 Minimum-color search walks the non-trivial kernel vectors up to the affine
 action  v -> a v + b  (a unit, b anything), which preserves both validity
@@ -22,8 +26,9 @@ from math import gcd
 
 from .diagram import Diagram
 from .errors import ColoringError
-from .laurent import alexander_matrix, bareiss, first_minor, reduce_normalize, relation_rows
+from .laurent import alexander_matrix, first_minor, reduce_normalize, relation_rows
 from .bounds import is_odd_prime, kl_lower_bound
+from .sparse import echelon, pivot_minor
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,10 @@ class Coloring:
 
 @dataclass(frozen=True)
 class ModMatrix:
-    """The relation matrix with t = m, reduced mod n."""
+    """The relation matrix with t = m, reduced mod n, as one row
+    {column: non-zero value} per crossing."""
 
-    rows: tuple[tuple[int, ...], ...]
+    rows: list[dict[int, int]]
     modulus: int
     arc_labels: tuple[int, ...]
 
@@ -106,7 +112,7 @@ class ModMatrix:
 def coloring_matrix(d: Diagram, params: QuandleParams) -> ModMatrix:
     """Relation matrix over Z_n whose kernel is the space of colorings."""
     n = params.n
-    rows = tuple([tuple([x % n for x in row]) for row in relation_rows(d, params.m)])
+    rows = [{j: v for j, x in enumerate(row) if (v := x % n)} for row in relation_rows(d, params.m)]
     return ModMatrix(rows=rows, modulus=n, arc_labels=tuple(d.arcs))
 
 
@@ -115,55 +121,37 @@ def coloring_matrix(d: Diagram, params: QuandleParams) -> ModMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _row_reduce(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
-    """RREF mod p.  Returns (pivots, reduced) where pivots lists the pivot
-    column of each row of reduced, in elimination order."""
-    m = [[v % p for v in r] for r in rows]
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    return pivots, m
-
-
 def _require_prime_modulus(p: int) -> None:
     if not is_odd_prime(p) and p != 2:
         raise ColoringError(f"kernel computation needs a prime modulus, got {p}")
 
 
+def _back_substitute(
+    pivots: list[tuple[int, int]], reduced: list[dict[int, int]], values: dict[int, int], p: int
+) -> dict[int, int]:
+    """Extend `values`, given on non-pivot columns (absent means 0), to the
+    pivot columns of an echelon form so that every reduced row vanishes."""
+    for (_, j), row in zip(reversed(pivots), reversed(reduced)):
+        # values has no entry at j yet, so the sum runs over the rest of the row.
+        s = sum([x * values.get(jj, 0) for jj, x in row.items()])
+        values[j] = -s * pow(row[j], -1, p) % p
+    return values
+
+
 def kernel_basis(mat: ModMatrix) -> list[tuple[int, ...]]:
-    """Basis of the null space over Z_p, one vector per free column."""
+    """Basis of the null space over Z_p, one vector per free column: 1 on
+    its own free column and 0 on the others."""
     _require_prime_modulus(mat.modulus)
     p = mat.modulus
-    pivots, red = _row_reduce([list(r) for r in mat.rows], p)
+    pivots, reduced, _ = echelon(mat.rows, p)
     ncols = len(mat.arc_labels)
-    pivot_cols = {col: i for i, col in enumerate(pivots)}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    pivot_cols = {j for _, j in pivots}
     basis = []
-    for f in free_cols:
-        v = [0] * ncols
-        v[f] = 1
-        for col, row_i in pivot_cols.items():
-            v[col] = (-red[row_i][f]) % p
-        basis.append(tuple(v))
+    for f in range(ncols):
+        if f not in pivot_cols:
+            v = _back_substitute(pivots, reduced, {f: 1}, p)
+            basis.append(tuple([v.get(j, 0) for j in range(ncols)]))
     return basis
-
-
-def is_nontrivially_colorable(d: Diagram, params: QuandleParams) -> bool:
-    """Whether some coloring uses more than one color: kernel dimension >= 2."""
-    return len(kernel_basis(coloring_matrix(d, params))) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +240,10 @@ def coloring_from_anchors(
 ) -> Coloring:
     """The unique coloring taking prescribed values on the anchor arcs.
 
-    Row-reduces the relation rows at t = m, with a zero right-hand side,
-    together with one unit row per anchor; raises when the constraints are
-    inconsistent or leave freedom (the anchors must pin the kernel down).
+    Eliminates the relation rows at t = m, with a zero right-hand side in
+    column q (the arc count), together with one unit row per anchor; raises
+    when the constraints are inconsistent or leave freedom (the anchors
+    must pin the kernel down).
     """
     p = params.n
     _require_prime_modulus(p)
@@ -262,20 +251,20 @@ def coloring_from_anchors(
     if not q:
         raise ColoringError("kernel is trivial; no colorings at all")
     col_of = {arc: i for i, arc in enumerate(d.arcs)}
-    rows = [row + [0] for row in relation_rows(d, params.m)]
+    rows = coloring_matrix(d, params).rows
     for arc, val in sorted(anchors.items()):
         if arc not in col_of:
             raise ColoringError(f"anchor arc {arc} is not an arc of the diagram")
-        unit = [0] * (q + 1)
-        unit[col_of[arc]], unit[q] = 1, val
-        rows.append(unit)
-    pivots, red = _row_reduce(rows, p)
-    if q in pivots:
+        rows.append({j: v for j, v in ((col_of[arc], 1), (q, val % p)) if v})
+    pivots, reduced, _ = echelon(rows, p)
+    if pivots and pivots[-1][1] == q:
         raise ColoringError("anchor constraints are inconsistent")
     if len(pivots) < q:
         raise ColoringError(f"anchors leave {q - len(pivots)} kernel degrees of freedom")
-    # Every column is a pivot, so row i of the reduced system reads v[i] = red[i][q].
-    return Coloring(params.n, params.m, dict(zip(d.arcs, (r[q] for r in red))))
+    # Every column below q is a pivot: solve with -1 in column q, so each
+    # row reads (its left side) . v = (its right-hand side).
+    v = _back_substitute(pivots, reduced, {q: -1}, p)
+    return Coloring(params.n, params.m, {arc: v[i] for i, arc in enumerate(d.arcs)})
 
 
 def verify_coloring(d: Diagram, coloring: Coloring) -> bool:
@@ -379,18 +368,18 @@ def collapse_and_check(d: Diagram, coloring: Coloring) -> CollapseReport:
         out = [0] * dcount
         for j, x in zip(column_class, row):
             out[j] += x
-        merged.append(out)
+        merged.append({j: x for j, x in enumerate(out) if x})
 
-    pivots, det_b, _ = bareiss(merged)
+    pivots, det_b = pivot_minor(merged)
     if len(pivots) != dcount - 1:
         raise ColoringError(
             f"collapsed matrix has rank {len(pivots)}, expected {dcount - 1}"
         )
     # Rows that sum to 0 make the last column minus the sum of the others,
-    # so the pivot columns are the first d-1, and the last pivot is det B:
-    # B is the pivot rows, in elimination order, without the last column.
+    # so the pivot columns are the first d-1, and det_b is det B: B is the
+    # pivot rows, in elimination order, without the last column.
     for i in pivots:
-        if sum(merged[i]) != 0:
+        if sum(merged[i].values()) != 0:
             raise ColoringError("internal inconsistency: collapsed row sum is non-zero")
     big_m = max(abs(m), abs(m - 1))
     bound = big_m ** (dcount - 1)

@@ -10,8 +10,9 @@ elimination and interpolation modulo a Mersenne prime above twice a proven
 coefficient bound (the product of the rows' coefficient 1-norms, at most
 4^n for relation rows; see qfox.sparse), so no division needs checking; the
 dense integer route is a test oracle.  Exact division (exact_div) is long
-division by integer divmod checked for a remainder, and bareiss, the
-integer elimination, serves the collapse checks.
+division by integer divmod checked for a remainder.  No integer elimination
+runs here: the mod-p kernel and the collapse checks (qfox.coloring) take
+the relation rows to the echelon form of qfox.sparse.
 """
 
 from __future__ import annotations
@@ -296,57 +297,6 @@ class AlexMatrix:
 def alexander_matrix(d: Diagram) -> AlexMatrix:
     """Build the relation matrix of a diagram, one row per crossing."""
     return AlexMatrix(relation_rows(d, 0), relation_rows(d, 1), tuple(d.arcs))
-
-
-def bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
-    """Fraction-free (Bareiss) elimination of an integer matrix.
-
-    Columns are taken in order.  The pivot of a column is the first
-    remaining row that is non-zero there, swapped into place; a column
-    without one is dropped.  Returns (pivot row indices in elimination
-    order, last pivot, sign of the row swaps).  By Sylvester's identity the
-    last pivot is the determinant of the pivot rows restricted to the pivot
-    columns, in elimination order; with no pivots it is 1.  Every division
-    by the previous pivot is exact; each one is checked, and a remainder
-    raises InexactDivisionError.
-    """
-    m = [list(r) for r in rows]
-    order = list(range(len(m)))
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    while m and m[0]:
-        k = next((i for i, r in enumerate(m) if r[0]), None)
-        if k is None:
-            m = [r[1:] for r in m]
-            continue
-        if k:
-            m[0], m[k] = m[k], m[0]
-            order[0], order[k] = order[k], order[0]
-            sign = -sign
-        pivots.append(order.pop(0))
-        pivot, *head = m[0]
-        reduced = []
-        for row in m[1:]:
-            a = row[0]
-            out = []
-            for x, y in zip(row[1:], head):
-                # A row with a zero in the pivot column is only rescaled, and
-                # relation matrices are mostly zeros: skip the work for those.
-                v = pivot * x - a * y if a else pivot * x
-                if not v:
-                    out.append(0)
-                    continue
-                q, r = divmod(v, prev)
-                if r:
-                    raise InexactDivisionError(
-                        f"Bareiss step: {prev} does not divide {v}", remainder=r
-                    )
-                out.append(q)
-            reduced.append(out)
-        m = reduced
-        prev = pivot
-    return pivots, prev, sign
 
 
 def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> LaurentPoly:

@@ -1,31 +1,45 @@
-"""Sparse Gaussian elimination modulo a prime, and the determinant of an
+"""Sparse elimination modulo a prime, in two routines: the determinant of an
 integer pencil A + tB by evaluation and interpolation modulo one Mersenne
-prime.
+prime, and a column-ordered echelon form for kernels, anchored solves and
+the pivots and determinant of an integer matrix.
 
-A row is a list of (column, a, b) triples, one per entry a + b*t that is not
-identically zero; columns are numbered 0..n-1.  The pivot order is chosen
-once, by Markowitz's rule (the shortest remaining row, then its sparsest
-column), in an elimination at a generic point.  That order is compiled into
-a fixed sequence of updates on a flat value array, covering every entry the
-order can fill at any t, and the sequence is replayed at t = 2, 3, ..., n + 2.
-The relation entries t, 1 - t and -1 vanish at no such t, which is why the
-points start at 2.  Where a replayed pivot vanishes all the same, a fresh
-Markowitz elimination at that t gives the value instead.  Newton
-interpolation mod p then gives the coefficients of det(A + tB) mod p.
+A pencil row is a list of (column, a, b) triples, one per entry a + b*t that
+is not identically zero; columns are numbered 0..n-1.  The pivot order is
+chosen once, by Markowitz's rule (the shortest remaining row, then its
+sparsest column), in an elimination at a generic point.  That order is
+compiled into a fixed sequence of updates on a flat value array, covering
+every entry the order can fill at any t, and the sequence is replayed at
+t = 2, 3, ..., n + 2.  The relation entries t, 1 - t and -1 vanish at no
+such t, which is why the points start at 2.  Where a replayed pivot
+vanishes all the same, a fresh Markowitz elimination at that t gives the
+value instead.  Newton interpolation mod p then gives the coefficients of
+det(A + tB) mod p.
 
-Exactness rests on a bound, not on checked divisions.  Expanding the
-product over the rows of the sums of |a_ij| + |b_ij| covers every term of
-the Leibniz expansion, so B = prod_i sum_j (|a_ij| + |b_ij|) bounds the
-1-norm of the coefficient vector of det(A + tB).  With p > 2B each
-coefficient is the symmetric lift of its residue.  p is the smallest
-Mersenne prime 2^e - 1 above 2B from a fixed table of exponents whose
-primes are proven (Lucas-Lehmer), so no primality test and no Chinese
-remaindering runs.
+echelon reads rows as {column: value non-zero mod p} and takes the columns
+in increasing order; a column's pivot is the first remaining row that is
+non-zero there, swapped into place.  For a kernel or an anchored solve any
+prime p will do, since the echelon form fixes the answer by back
+substitution.  pivot_minor runs it on an integer matrix.
+
+Exactness rests on bounds, not on checked divisions, and on a fixed table
+of Mersenne primes 2^e - 1 whose primality is proven (Lucas-Lehmer): the
+modulus is the smallest of them above twice the bound, so no primality
+test and no Chinese remaindering runs.  For a pencil, expanding the product
+over the rows of the sums of |a_ij| + |b_ij| covers every term of the
+Leibniz expansion, so B = prod_i sum_j (|a_ij| + |b_ij|) bounds the 1-norm
+of the coefficient vector of det(A + tB), and each coefficient is the
+symmetric lift of its residue.  For an integer matrix, Hadamard's
+inequality bounds every minor by the product of the Euclidean norms of the
+min(rows, columns) largest non-zero rows.  Every entry a column-ordered
+elimination meets is a ratio of two minors (the Bareiss entries), so below
+that bound an entry vanishes mod p exactly when it vanishes over the
+rationals: the modular run picks the pivots of the exact one, and the
+product of its pivots, a minor, is the symmetric lift of its residue.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import isqrt, prod
 
 from .errors import DiagramError
 
@@ -45,17 +59,22 @@ _FIRST_T = 2
 Row = list[tuple[int, int, int]]
 
 
-def pencil_modulus(rows: list[Row]) -> int:
-    """The smallest tabulated Mersenne prime above twice the coefficient
-    bound of det(A + tB); DiagramError when the bound is past the table."""
-    bound = prod(sum(abs(a) + abs(b) for _, a, b in row) for row in rows)
+def _mersenne_above(bound: int) -> int:
+    """The smallest tabulated Mersenne prime above 2 * bound; DiagramError
+    when the bound is past the table."""
     for e in MERSENNE_EXPONENTS:
         if (1 << e) - 1 > 2 * bound:
             return (1 << e) - 1
     raise DiagramError(
-        f"determinant coefficient bound of {bound.bit_length()} bits is past "
+        f"determinant bound of {bound.bit_length()} bits is past "
         f"the largest tabulated modulus 2^{MERSENNE_EXPONENTS[-1]} - 1"
     )
+
+
+def pencil_modulus(rows: list[Row]) -> int:
+    """The modulus for det(A + tB): the smallest tabulated Mersenne prime
+    above twice its coefficient bound."""
+    return _mersenne_above(prod(sum(abs(a) + abs(b) for _, a, b in row) for row in rows))
 
 
 def pencil_det(rows: list[Row]) -> list[int]:
@@ -221,3 +240,60 @@ def _interpolate(values: list[int], p: int) -> list[int]:
         coeffs = [(a - (_FIRST_T + k) * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] = (coeffs[0] + newton[k]) % p
     return coeffs
+
+
+def echelon(
+    rows: list[dict[int, int]], p: int
+) -> tuple[list[tuple[int, int]], list[dict[int, int]], int]:
+    """Forward elimination mod p of rows {column: value non-zero mod p},
+    columns in increasing order.  A column's pivot is the first remaining row that is
+    non-zero there, swapped into the place of the first remaining row; a
+    column without one is skipped.  Returns the (row, column) pivots in
+    elimination order, with row an index into `rows`; the pivot rows as
+    eliminated, in the same order, each zero left of its pivot column; and
+    the product of the pivots mod p."""
+    rows = [dict(r) for r in rows]
+    at = list(range(len(rows)))  # at[k] is the row in place k of the swapped order
+    pivots: list[tuple[int, int]] = []
+    reduced = []
+    det = 1
+    for j in sorted(set().union(*rows)):
+        first = len(pivots)
+        k = next((k for k in range(first, len(at)) if j in rows[at[k]]), None)
+        if k is None:
+            continue
+        at[first], at[k] = at[k], at[first]
+        i = at[first]
+        piv_row = rows[i]
+        pivots.append((i, j))
+        reduced.append(piv_row)
+        pv = piv_row[j]
+        det = det * pv % p
+        inv = pow(pv, -1, p)
+        for k in at[first + 1:]:
+            r = rows[k]
+            if j not in r:
+                continue
+            f = r[j] * inv % p
+            for jj, v in piv_row.items():
+                x = (r.get(jj, 0) - f * v) % p
+                if x:
+                    r[jj] = x
+                elif jj in r:
+                    del r[jj]
+    return pivots, reduced, det
+
+
+def pivot_minor(rows: list[dict[int, int]]) -> tuple[list[int], int]:
+    """The pivot rows of echelon on an integer matrix of rows {column:
+    non-zero value}, in elimination order, and the determinant of those
+    rows on the pivot columns (1 when there are none), in integers.
+
+    The run is mod the smallest tabulated Mersenne prime above twice the
+    Hadamard bound on every minor (see the module docstring)."""
+    ncols = len(set().union(*rows))
+    norms = sorted((sum(x * x for x in r.values()) for r in rows if r), reverse=True)
+    p = _mersenne_above(isqrt(prod(norms[:ncols]) - 1) + 1)
+    # Every entry is a minor, so it is non-zero mod p too.
+    pivots, _, det = echelon(rows, p)
+    return [i for i, _ in pivots], det - p if det > p // 2 else det

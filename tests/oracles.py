@@ -11,13 +11,17 @@ relation matrix from LaurentPoly arithmetic, against the integer rows of
 qfox.laurent.relation_rows and the AlexMatrix values at_0/at_1, and is the
 source of every Z[t] matrix the tests need.  kernel_vectors lists every
 coloring that the orbit search walks up to the affine action,
-enumerate_colorings_brute lists them by exhaustive search, and rank reads
-the rank of a mod-p matrix off its row reduction.  pivot_rows_fraction is
-the Fraction elimination behind the integer one (qfox.laurent.bareiss) in
-collapse_and_check.  arc_of_edge numbers arcs with a union-find of its own,
-against build_diagram.  validate lists the invariants a built Diagram must
-satisfy, and base_m_digits expands an integer in base m, the digit count
-that qfox.bounds.floor_log computes without the digits.  hironaka_quotient
+enumerate_colorings_brute lists them by exhaustive search.  _row_reduce is
+the dense RREF mod p that the sparse echelon form of qfox.sparse replaced:
+rank, kernel_basis_rref and anchored_solution_rref read the rank, the
+kernel basis and the anchored coloring off it.  bareiss, the fraction-free
+integer elimination behind det_int, and pivot_rows_fraction, the same
+elimination over Fraction, are the oracles for the pivot rows and det B
+that collapse_and_check reads off qfox.sparse.pivot_minor.  arc_of_edge
+numbers arcs with a union-find of its own, against build_diagram.
+validate lists the invariants a built Diagram must satisfy, and
+base_m_digits expands an integer in base m, the digit count that
+qfox.bounds.floor_log computes without the digits.  hironaka_quotient
 is the rational form of the pretzel polynomial, an exact division by
 (1+t)^3, against the closed form of qfox.families.pretzel_alexander.
 """
@@ -30,14 +34,64 @@ from qfox.coloring import (
     Coloring,
     ModMatrix,
     _require_prime_modulus,
-    _row_reduce,
     coloring_matrix,
     kernel_basis,
     verify_coloring,
 )
 from qfox.diagram import Diagram, PdCode
-from qfox.errors import BoundsError, InexactDivisionError
-from qfox.laurent import LaurentPoly, bareiss, exact_div
+from qfox.errors import BoundsError, ColoringError, InexactDivisionError
+from qfox.laurent import LaurentPoly, exact_div
+
+
+def bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix.
+
+    Columns are taken in order.  The pivot of a column is the first
+    remaining row that is non-zero there, swapped into place; a column
+    without one is dropped.  Returns (pivot row indices in elimination
+    order, last pivot, sign of the row swaps).  By Sylvester's identity the
+    last pivot is the determinant of the pivot rows restricted to the pivot
+    columns, in elimination order; with no pivots it is 1.  Every division
+    by the previous pivot is exact; each one is checked, and a remainder
+    raises InexactDivisionError.
+    """
+    m = [list(r) for r in rows]
+    order = list(range(len(m)))
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    while m and m[0]:
+        k = next((i for i, r in enumerate(m) if r[0]), None)
+        if k is None:
+            m = [r[1:] for r in m]
+            continue
+        if k:
+            m[0], m[k] = m[k], m[0]
+            order[0], order[k] = order[k], order[0]
+            sign = -sign
+        pivots.append(order.pop(0))
+        pivot, *head = m[0]
+        reduced = []
+        for row in m[1:]:
+            a = row[0]
+            out = []
+            for x, y in zip(row[1:], head):
+                # A row with a zero in the pivot column is only rescaled, and
+                # relation matrices are mostly zeros: skip the work for those.
+                v = pivot * x - a * y if a else pivot * x
+                if not v:
+                    out.append(0)
+                    continue
+                q, r = divmod(v, prev)
+                if r:
+                    raise InexactDivisionError(
+                        f"Bareiss step: {prev} does not divide {v}", remainder=r
+                    )
+                out.append(q)
+            reduced.append(out)
+        m = reduced
+        prev = pivot
+    return pivots, prev, sign
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -177,10 +231,71 @@ def arc_of_edge(pd: PdCode) -> dict[int, int]:
     return out
 
 
+def _row_reduce(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
+    """RREF mod p.  Returns (pivots, reduced) where pivots lists the pivot
+    column of each row of reduced, in elimination order."""
+    m = [[v % p for v in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [(v * inv) % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return pivots, m
+
+
 def rank(mat: ModMatrix) -> int:
     _require_prime_modulus(mat.modulus)
-    pivots, _ = _row_reduce([list(r) for r in mat.rows], mat.modulus)
+    dense = [[r.get(j, 0) for j in range(len(mat.arc_labels))] for r in mat.rows]
+    pivots, _ = _row_reduce(dense, mat.modulus)
     return len(pivots)
+
+
+def kernel_basis_rref(rows: list[list[int]], ncols: int, p: int) -> list[tuple[int, ...]]:
+    """The kernel basis read off the RREF, one vector per free column: 1
+    there, 0 on the other free columns, minus the free column's entry of
+    each reduced row on that row's pivot column."""
+    pivots, red = _row_reduce(rows, p)
+    pivot_cols = {col: i for i, col in enumerate(pivots)}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for col, row_i in pivot_cols.items():
+            v[col] = (-red[row_i][f]) % p
+        basis.append(tuple(v))
+    return basis
+
+
+def anchored_solution_rref(rows: list[list[int]], anchors: dict[int, int], p: int) -> list[int]:
+    """The unique v with rows . v = 0 mod p and v[j] = anchors[j], read off
+    the RREF of the system with the right-hand side as a last column and one
+    unit row per anchor; ColoringError with the messages of
+    qfox.coloring.coloring_from_anchors when there is none or more."""
+    q = len(rows[0])
+    system = [row + [0] for row in rows]
+    for j, val in sorted(anchors.items()):
+        unit = [0] * (q + 1)
+        unit[j], unit[q] = 1, val
+        system.append(unit)
+    pivots, red = _row_reduce(system, p)
+    if q in pivots:
+        raise ColoringError("anchor constraints are inconsistent")
+    if len(pivots) < q:
+        raise ColoringError(f"anchors leave {q - len(pivots)} kernel degrees of freedom")
+    return [r[q] for r in red[:q]]
 
 
 def enumerate_colorings_brute(d, params) -> set[tuple[int, ...]]:

@@ -15,18 +15,16 @@ import qfox
 from qfox import (
     BoundsError,
     CompositeValueError,
-    applicability,
     improved_lower_bound,
     is_odd_prime,
     kl_lower_bound,
     lemma31_value,
-    lspace_pattern_check,
     parse_poly,
     prime_scan,
     require_odd_prime,
     smallest_prime_factor,
 )
-from qfox.bounds import _strong_lucas_probable_prime, floor_log, probable_only
+from qfox.bounds import _strong_lucas_probable_prime, floor_log, probable_only, profile
 from qfox.laurent import alexander_matrix, first_minor, reduce_normalize
 from oracles import base_m_digits
 
@@ -241,23 +239,23 @@ def test_kl_lower_bound_guards():
 
 def test_applicability_thresholds():
     # max |c_i| = 3
-    assert applicability(P73, 5) == "strict"
-    assert applicability(P73, 4) == "weaker"
-    assert applicability(P73, 3) == "none"
+    assert profile(P73).hypothesis(5) == "strict"
+    assert profile(P73).hypothesis(4) == "weaker"
+    assert profile(P73).hypothesis(3) == "none"
 
 
 def test_applicability_exceptional_tail_needs_strict():
     # last two non-zero coefficients below the top are both negative
     poly = parse_poly("1 - t - t^2 + 3t^3 - t^4 - t^5 + t^6")
-    assert applicability(poly, 4) == "none"
-    assert applicability(poly, 5) == "strict"
+    assert profile(poly).hypothesis(4) == "none"
+    assert profile(poly).hypothesis(5) == "strict"
 
 
 def test_applicability_rejects_non_knot_shapes():
     with pytest.raises(BoundsError):
-        applicability(parse_poly("1 + t"), 5)    # odd degree
+        profile(parse_poly("1 + t")).hypothesis(5)    # odd degree
     with pytest.raises(BoundsError):
-        applicability(parse_poly("1 + t - t^2"), 5)   # not palindromic
+        profile(parse_poly("1 + t - t^2")).hypothesis(5)   # not palindromic
 
 
 @pytest.mark.parametrize(
@@ -279,17 +277,6 @@ def test_lemma31_value_cases(poly, m, fl):
 def test_lemma31_value_rejects_small_m():
     with pytest.raises(BoundsError):
         lemma31_value(P73, 3)
-
-
-# -- alternating unit-coefficient pattern ----------------------------------------------
-
-
-def test_lspace_pattern_examples():
-    assert lspace_pattern_check(TREFOIL_POLY)
-    assert lspace_pattern_check(P10_145) is False
-    assert lspace_pattern_check(P73) is False
-    assert lspace_pattern_check(parse_poly("1 - 3t + t^2")) is False
-    assert lspace_pattern_check(parse_poly("1 - t + t^3 - t^5 + t^6"))
 
 
 # -- bound reports ------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from qfox import (
     coloring_matrix,
     first_minor,
     get_diagram,
-    is_nontrivially_colorable,
     kernel_basis,
     kh_witness,
     kl_lower_bound,
@@ -32,9 +31,17 @@ from qfox import (
     verify_coloring,
 )
 from qfox import coloring
-from qfox.coloring import _affine_canonical, _orbit_representatives
-from qfox.laurent import bareiss
-from oracles import enumerate_colorings_brute, kernel_vectors, pivot_rows_fraction, rank
+from qfox.coloring import ModMatrix, _affine_canonical, _orbit_representatives
+from qfox.laurent import relation_rows
+from qfox.sparse import pivot_minor
+from oracles import (
+    anchored_solution_rref,
+    enumerate_colorings_brute,
+    kernel_basis_rref,
+    kernel_vectors,
+    pivot_rows_fraction,
+    rank,
+)
 from qfox.families import braid_closure, pretzel_diagram, PretzelParams, torus_diagram, TorusParams
 
 
@@ -133,7 +140,9 @@ def test_all_ones_always_in_kernel(trefoil, l4a1):
     ],
 )
 def test_is_nontrivially_colorable(name, p, m, expected):
-    assert is_nontrivially_colorable(get_diagram(name), QuandleParams(p, m)) is expected
+    """Some coloring uses more than one color: kernel dimension >= 2."""
+    basis = kernel_basis(coloring_matrix(get_diagram(name), QuandleParams(p, m)))
+    assert (len(basis) >= 2) is expected
 
 
 # -- minima -----------------------------------------------------------------------
@@ -528,6 +537,61 @@ def pivot_matrices(draw):
 @example([[0, 1, 2], [0, 2, 4], [0, 0, 0], [0, 3, 7]])
 @example([[2, 4, 6], [1, 2, 3], [1, 3, 5], [0, 1, 2]])
 @example([[6, 10, 15], [3, 5, 7], [9, 15, 22], [12, 20, 30]])
+@example([[0, 1, 0], [0, 1, 1], [0, 0, 1], [1, 0, 0]])
+@example([[10**6, 10**6, 10**6], [10**6, -10**6, 10**6], [10**6, 10**6, -999_999]])
 def test_integer_pivots_match_fraction_oracle(rows):
-    pivots, last, _ = bareiss(rows)
-    assert (pivots, last) == pivot_rows_fraction(rows)
+    """The second to last example swaps row 3 into place 0, so row 1, not
+    row 0, is the next pivot.  The last example's determinant, near
+    4 * 10^18, is past half of 2^61 - 1, and so is its Hadamard bound
+    without any one row."""
+    assert pivot_minor(_sparse(rows)) == pivot_rows_fraction(rows)
+
+
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+# -- the sparse kernel and anchored solve against the dense RREF oracle ----------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_matrices(), st.integers(0, 2), st.sampled_from([2, 3, 5, 7, 43]))
+@example([], 2, 3)
+@example([[1, 2, 3], [2, 4, 6]], 0, 2)
+@example([[0, 0, 5], [0, 3, 1], [0, 0, 0]], 1, 5)
+@example([[7, 14], [0, 43]], 0, 7)
+@example([[7, 14], [0, 43]], 1, 43)
+def test_kernel_basis_matches_rref_oracle(rows, extra, p):
+    """Random matrices mod p, some zero mod p, with `extra` zero columns
+    appended: the sparse kernel basis is the one read off the RREF."""
+    ncols = (len(rows[0]) if rows else 0) + extra
+    mat = ModMatrix(_sparse([[x % p for x in row] for row in rows]), p, tuple(range(ncols)))
+    dense = [row + [0] * extra for row in rows]
+    assert kernel_basis(mat) == kernel_basis_rref(dense, ncols, p)
+
+
+def _registry_cases():
+    """Every registry diagram at fixed (p, m), and each registry knot at the
+    (p, m) where p divides its reduced value, so the kernel is non-trivial."""
+    for name in sorted(load_registry()):
+        for p, m in [(3, 2), (5, 2), (5, -1), (7, 3), (43, 2), (43, 5)]:
+            yield get_diagram(name), p, m
+    yield from _registry_knot_cases()
+
+
+def test_registry_kernels_and_anchors_match_rref_oracle():
+    rng = random.Random(12)
+    for d, p, m in _registry_cases():
+        params = QuandleParams(p, m)
+        rows = relation_rows(d, m)
+        q = len(d.arcs)
+        assert kernel_basis(coloring_matrix(d, params)) == kernel_basis_rref(rows, q, p)
+        for _ in range(8):
+            anchors = {a: rng.randrange(p) for a in rng.sample(d.arcs, rng.randint(1, min(4, q)))}
+            try:
+                want = anchored_solution_rref(rows, {d.arcs.index(a): v for a, v in anchors.items()}, p)
+            except ColoringError as exc:
+                with pytest.raises(ColoringError, match=f"^{exc}$"):
+                    coloring_from_anchors(d, params, anchors)
+            else:
+                assert coloring_from_anchors(d, params, anchors).colors == dict(zip(d.arcs, want))
