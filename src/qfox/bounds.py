@@ -212,8 +212,8 @@ def _brent(n: int, c: int, y: int, budget: int) -> tuple[int | None, int]:
 
 
 def require_odd_prime(value: int) -> None:
-    """Raise unless value is an odd prime; composites report a factor when
-    smallest_prime_factor finds one within its budget."""
+    """Raise unless value is an odd prime; a composite's error names a
+    factor, or says that smallest_prime_factor found none within its budget."""
     if value < 2:
         raise BoundsError(f"{value} is not an odd prime")
     if value == 2:

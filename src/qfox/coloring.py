@@ -2,12 +2,13 @@
 
 The quandle operation is x * y = m x + (1 - m) y (mod n) with m a unit of
 Z_n; m = -1 gives the dihedral operation 2y - x.  Colorings of a diagram
-are exactly the kernel vectors of the relation matrix reduced mod n, so
-for prime n everything reduces to linear algebra over a field: the kernel
-and the coloring pinned by anchors are read off the column-ordered sparse
-echelon form of qfox.sparse by back substitution, and the collapse checks
-take their pivot rows and det B from the same elimination, run mod a prime
-above twice a Hadamard bound on the collapsed matrix (sparse.pivot_minor).
+are exactly the kernel vectors of the relation pencil (alexander_matrix)
+at t = m, reduced mod n, so for prime n everything reduces to linear
+algebra over a field: the kernel and the coloring pinned by anchors are
+read off the column-ordered sparse echelon form of qfox.sparse by back
+substitution, and the collapse checks, which sum the pencil at t = m per
+color class, take their pivot rows and det B from the same elimination, run
+mod a prime above twice a Hadamard bound on the collapsed matrix.
 
 Minimum-color search walks the non-trivial kernel vectors up to the affine
 action  v -> a v + b  (a unit, b anything), which preserves both validity
@@ -26,9 +27,9 @@ from math import gcd
 
 from .diagram import Diagram
 from .errors import ColoringError
-from .laurent import alexander_matrix, first_minor, reduce_normalize, relation_rows
+from .laurent import alexander_matrix, first_minor, reduce_normalize
 from .bounds import is_odd_prime, kl_lower_bound
-from .sparse import echelon, pivot_minor
+from .sparse import echelon, pencil_at, pivot_minor
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,10 @@ class ModMatrix:
 
 
 def coloring_matrix(d: Diagram, params: QuandleParams) -> ModMatrix:
-    """Relation matrix over Z_n whose kernel is the space of colorings."""
-    n = params.n
-    rows = [{j: v for j, x in enumerate(row) if (v := x % n)} for row in relation_rows(d, params.m)]
-    return ModMatrix(rows=rows, modulus=n, arc_labels=tuple(d.arcs))
+    """Relation matrix over Z_n whose kernel is the space of colorings: the
+    relation pencil of alexander_matrix at t = m."""
+    rows = pencil_at(alexander_matrix(d).rows, params.m, params.n)
+    return ModMatrix(rows=rows, modulus=params.n, arc_labels=tuple(d.arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +359,18 @@ def collapse_and_check(d: Diagram, coloring: Coloring) -> CollapseReport:
         raise ColoringError("non-trivial coloring required")
 
     # Color classes ordered by first appearance along the arc order; the
-    # columns of the integer relation matrix at t = m merge class by class.
+    # entries of the relation pencil at t = m are summed class by class.
     class_of: dict[int, int] = {}
     for arc in d.arcs:
         class_of.setdefault(coloring.colors[arc], len(class_of))
     column_class = [class_of[coloring.colors[arc]] for arc in d.arcs]
     merged = []
-    for row in relation_rows(d, m):
-        out = [0] * dcount
-        for j, x in zip(column_class, row):
-            out[j] += x
-        merged.append({j: x for j, x in enumerate(out) if x})
+    for row in alexander_matrix(d).rows:
+        out: dict[int, int] = {}
+        for j, a, b in row:
+            k = column_class[j]
+            out[k] = out.get(k, 0) + a + b * m
+        merged.append({k: x for k, x in out.items() if x})
 
     pivots, det_b = pivot_minor(merged)
     if len(pivots) != dcount - 1:

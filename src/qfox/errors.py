@@ -52,12 +52,14 @@ class ColoringError(QfoxError):
 
 class CompositeValueError(QfoxError):
     """An evaluation that must be an odd prime is not.  Carries the value
-    and, when one was found cheaply, a witness factor."""
+    and the witness factor, or None when the factor search gave up."""
 
     def __init__(self, value: int, factor: int | None = None):
         msg = f"{value} is not an odd prime"
         if factor is not None:
             msg += f" ({value} = {factor} * {value // factor})"
+        else:
+            msg += " (no factor found within the rho budget)"
         super().__init__(msg)
         self.value = value
         self.factor = factor

@@ -2,17 +2,19 @@
 
 Everything downstream (determinants, colorings, bounds) runs on exact
 integer coefficients; nothing in this module touches floating point.
-The module also builds the crossing/arc relation matrix of a diagram as
-integer rows at any integer t (relation_rows); its entries are linear in t,
-so the matrix over Z[t] is held as its values at t = 0 and t = 1.  A first
+The module also builds the crossing/arc relation matrix of a diagram
+straight from its crossings (alexander_matrix).  Every entry is linear in
+t, so the matrix is a sparse pencil A + tB: one row of at most three
+(column, a, b) triples per crossing, for the entries a + bt.  A first
 minor of size n is det(A + tB) for the minor's rows, taken by sparse
 elimination and interpolation modulo a Mersenne prime above twice a proven
 coefficient bound (the product of the rows' coefficient 1-norms, at most
 4^n for relation rows; see qfox.sparse), so no division needs checking; the
 dense integer route is a test oracle.  Exact division (exact_div) is long
 division by integer divmod checked for a remainder.  No integer elimination
-runs here: the mod-p kernel and the collapse checks (qfox.coloring) take
-the relation rows to the echelon form of qfox.sparse.
+runs here: the mod-p kernel and the collapse checks (qfox.coloring)
+evaluate the same triples at t = m and take them to the echelon form of
+qfox.sparse.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Mapping
 
 from .diagram import Diagram
 from .errors import DiagramError, InexactDivisionError, NormalizationError
-from .sparse import pencil_det
+from .sparse import Row, pencil_det
 
 
 @dataclass(frozen=True)
@@ -253,41 +255,18 @@ def unit_equivalent(p: LaurentPoly, q: LaurentPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def relation_rows(d: Diagram, t: int) -> list[list[int]]:
-    """Relation matrix of a diagram at an integer t: rows are crossings,
-    columns are arcs.
-
-    At a positive crossing the outgoing under-arc relation contributes
-    t, 1-t, -1 in the columns of the incoming under-arc, the over-arc and
-    the outgoing under-arc.  Negative crossings contribute the inverse
-    relation scaled by t, which lands on the same three values with the
-    under-arc roles swapped.
-    """
-    col = {arc: i for i, arc in enumerate(d.arcs)}
-    rows = []
-    for c in d.crossings:
-        row = [0] * len(d.arcs)
-        x_in, x_out = (c.under_in, c.under_out) if c.sign > 0 else (c.under_out, c.under_in)
-        row[col[x_in]] += t
-        row[col[c.over]] += 1 - t
-        row[col[x_out]] -= 1
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class AlexMatrix:
-    """The relation matrix over Z[t], held as its integer values at t = 0
-    and t = 1 (see relation_rows).  Every entry is linear in t, so entry
-    (i, j) is a + (b - a)t with a = at_0[i][j] and b = at_1[i][j]."""
+    """The relation matrix over Z[t] as a sparse pencil: one row per
+    crossing, each a list of at most three (column, a, b) triples, one per
+    entry a + bt that is not identically zero."""
 
-    at_0: list[list[int]]
-    at_1: list[list[int]]
+    rows: list[Row]
     arc_labels: tuple[int, ...]
 
     @property
     def n_rows(self) -> int:
-        return len(self.at_0)
+        return len(self.rows)
 
     @property
     def n_cols(self) -> int:
@@ -295,8 +274,25 @@ class AlexMatrix:
 
 
 def alexander_matrix(d: Diagram) -> AlexMatrix:
-    """Build the relation matrix of a diagram, one row per crossing."""
-    return AlexMatrix(relation_rows(d, 0), relation_rows(d, 1), tuple(d.arcs))
+    """The relation matrix of a diagram, read straight from the crossings.
+
+    A positive crossing contributes t, 1 - t and -1 in the columns of the
+    incoming under-arc, the over-arc and the outgoing under-arc; a negative
+    one the inverse relation scaled by t, the same entries with the
+    under-arc roles swapped.  Where arcs coincide (a kink) their entries are
+    summed, and a sum that is identically zero is dropped."""
+    col = {arc: i for i, arc in enumerate(d.arcs)}
+    rows = []
+    for c in d.crossings:
+        x_in, x_out = (c.under_in, c.under_out) if c.sign > 0 else (c.under_out, c.under_in)
+        row = [(col[x_in], 0, 1), (col[c.over], 1, -1), (col[x_out], -1, 0)]
+        if x_in == c.over or c.over == x_out or x_out == x_in:
+            a, b = {}, {}
+            for j, x, y in row:
+                a[j], b[j] = a.get(j, 0) + x, b.get(j, 0) + y
+            row = [(j, a[j], b[j]) for j in a if a[j] or b[j]]
+        rows.append(row)
+    return AlexMatrix(rows, tuple(d.arcs))
 
 
 def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> LaurentPoly:
@@ -312,14 +308,11 @@ def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> Lauren
         raise IndexError("minor indices out of range")
     if mat.n_rows > 1 and mat.n_rows != mat.n_cols:
         raise ValueError("minor of a non-square matrix")
-    rows = []
-    for i, (r0, r1) in enumerate(zip(mat.at_0, mat.at_1)):
-        if i != drop_row:
-            rows.append([
-                (j - (j > drop_col), x, y - x)
-                for j, (x, y) in enumerate(zip(r0, r1))
-                if j != drop_col and (x or y)
-            ])
+    rows = [
+        [(j - (j > drop_col), a, b) for j, a, b in row if j != drop_col]
+        for i, row in enumerate(mat.rows)
+        if i != drop_row
+    ]
     return LaurentPoly(tuple(pencil_det(rows)))
 
 

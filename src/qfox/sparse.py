@@ -13,13 +13,14 @@ t = 2, 3, ..., n + 2.  The relation entries t, 1 - t and -1 vanish at no
 such t, which is why the points start at 2.  Where a replayed pivot
 vanishes all the same, a fresh Markowitz elimination at that t gives the
 value instead.  Newton interpolation mod p then gives the coefficients of
-det(A + tB) mod p.
+det(A + tB) mod p.  Each elimination reads the pencil at one t through
+pencil_at, as rows {column: value non-zero mod p}.
 
-echelon reads rows as {column: value non-zero mod p} and takes the columns
-in increasing order; a column's pivot is the first remaining row that is
-non-zero there, swapped into place.  For a kernel or an anchored solve any
-prime p will do, since the echelon form fixes the answer by back
-substitution.  pivot_minor runs it on an integer matrix.
+echelon reads rows in that form too and takes the columns in increasing
+order; a column's pivot is the first remaining row that is non-zero there,
+swapped into place.  For a kernel or an anchored solve any prime p will
+do, since the echelon form fixes the answer by back substitution.
+pivot_minor runs it on an integer matrix.
 
 Exactness rests on bounds, not on checked divisions, and on a fixed table
 of Mersenne primes 2^e - 1 whose primality is proven (Lucas-Lehmer): the
@@ -77,6 +78,11 @@ def pencil_modulus(rows: list[Row]) -> int:
     return _mersenne_above(prod(sum(abs(a) + abs(b) for _, a, b in row) for row in rows))
 
 
+def pencil_at(rows: list[Row], t: int, p: int) -> list[dict[int, int]]:
+    """The rows of A + tB mod p as {column: value non-zero mod p}."""
+    return [{j: v for j, a, b in row if (v := (a + b * t) % p)} for row in rows]
+
+
 def pencil_det(rows: list[Row]) -> list[int]:
     """The n + 1 coefficients of det(A + tB), lowest degree first, for a
     square pencil given as n rows of (column, a, b) triples."""
@@ -84,16 +90,12 @@ def pencil_det(rows: list[Row]) -> list[int]:
     if not n:
         return [1]
     p = pencil_modulus(rows)
-
-    def at(t: int) -> list[dict[int, int]]:
-        return [{j: v for j, a, b in row if (v := (a + b * t) % p)} for row in rows]
-
-    order = _markowitz(at(_GENERIC_T), p)[1]
+    order = _markowitz(pencil_at(rows, _GENERIC_T, p), p)[1]
     compiled = _compile(rows, order) if len(order) == n else None
     values = []
     for t in range(_FIRST_T, _FIRST_T + n + 1):
         v = _replay(compiled, t, p) if compiled else None
-        values.append(_markowitz(at(t), p)[0] if v is None else v)
+        values.append(_markowitz(pencil_at(rows, t, p), p)[0] if v is None else v)
     half = p // 2
     return [c - p if c > half else c for c in _interpolate(values, p)]
 

@@ -6,10 +6,11 @@ computes it in integers, one dense Bareiss determinant (det_int) at each of
 t = 0..n and exact Newton interpolation (_newton_expand) with every
 division checked, and det_bareiss and det_cofactor compute the same
 polynomial directly, by fraction-free elimination over Z[t] and by cofactor
-expansion.  alexander_matrix_reference builds the
-relation matrix from LaurentPoly arithmetic, against the integer rows of
-qfox.laurent.relation_rows and the AlexMatrix values at_0/at_1, and is the
-source of every Z[t] matrix the tests need.  kernel_vectors lists every
+expansion.  alexander_matrix_reference builds the dense
+relation matrix from LaurentPoly arithmetic, against the sparse (column,
+a, b) triples of qfox.laurent.alexander_matrix and their values at t = m
+mod p (qfox.sparse.pencil_at), and is the source of every Z[t] matrix and
+every dense integer row the tests need.  kernel_vectors lists every
 coloring that the orbit search walks up to the affine action,
 enumerate_colorings_brute lists them by exhaustive search.  _row_reduce is
 the dense RREF mod p that the sparse echelon form of qfox.sparse replaced:

@@ -167,7 +167,9 @@ def test_composite_p_with_two_large_factors_exits_1(subcommand):
         "-m", "qfox.cli", subcommand, "3_1", "--m", "2", "--p", str(TWO_LARGE_FACTORS)
     )
     assert proc.returncode == 1
-    assert proc.stderr == f"error: {TWO_LARGE_FACTORS} is not an odd prime\n"
+    assert proc.stderr == (
+        f"error: {TWO_LARGE_FACTORS} is not an odd prime (no factor found within the rho budget)\n"
+    )
 
 
 def test_require_odd_prime_passes_silently():

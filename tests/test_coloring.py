@@ -32,9 +32,9 @@ from qfox import (
 )
 from qfox import coloring
 from qfox.coloring import ModMatrix, _affine_canonical, _orbit_representatives
-from qfox.laurent import relation_rows
 from qfox.sparse import pivot_minor
 from oracles import (
+    alexander_matrix_reference,
     anchored_solution_rref,
     enumerate_colorings_brute,
     kernel_basis_rref,
@@ -583,7 +583,7 @@ def test_registry_kernels_and_anchors_match_rref_oracle():
     rng = random.Random(12)
     for d, p, m in _registry_cases():
         params = QuandleParams(p, m)
-        rows = relation_rows(d, m)
+        rows = [[e.evaluate(m) for e in row] for row in alexander_matrix_reference(d)]
         q = len(d.arcs)
         assert kernel_basis(coloring_matrix(d, params)) == kernel_basis_rref(rows, q, p)
         for _ in range(8):

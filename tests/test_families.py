@@ -3,16 +3,25 @@
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qfox import (
     BoundsError,
+    Coloring,
     CompositeValueError,
     DiagramError,
     PretzelParams,
+    QfoxError,
+    QuandleParams,
     TorusParams,
     alexander_matrix,
     braid_closure,
+    collapse_and_check,
+    coloring_matrix,
     first_minor,
+    kernel_basis,
+    min_colors_on_diagram,
     parse_poly,
     pretzel_alexander,
     pretzel_diagram,
@@ -25,6 +34,7 @@ from qfox import (
     torus_mincol_interval,
     verify_coloring,
 )
+from qfox.coloring import _orbit_representatives
 from qfox.families import pretzel_anchors, torus_braid_word
 from oracles import hironaka_quotient
 
@@ -57,6 +67,51 @@ def test_braid_closure_link():
     d = braid_closure([1, 1, 1, 1])
     assert d.components == 2
     assert str(_reduced(d)) == "1 + t^2"
+
+
+def _markov_invariants(d):
+    """The reduced polynomial, and at each (p, m) the kernel dimension and,
+    where non-trivial colorings exist, the minimum colors and the det B of
+    every minimal coloring, one per affine class."""
+    out = [_reduced(d)]
+    for p, m in [(3, 2), (3, -1), (7, 3), (5, 2)]:
+        params = QuandleParams(p, m)
+        dim = len(kernel_basis(coloring_matrix(d, params)))
+        if dim < 2:
+            out.append((dim,))
+            continue
+        count, _ = min_colors_on_diagram(d, params)
+        dets = sorted(
+            collapse_and_check(d, Coloring(p, m, dict(zip(d.arcs, v)))).det_b
+            for v in _orbit_representatives(d, params)
+            if len(set(v)) == count
+        )
+        out.append((dim, count, dets))
+    return out
+
+
+@example([1, 1, 1])                    # 3_1: 3 colors at (3, 2), (3, -1), (7, 3)
+@example([1, -2, 1, -2])               # 4_1: only constant colorings at all four
+@example([1, 1, 1, 2, 2, 2])           # granny knot: kernel dimension 3
+@example([1, 1, 1, -2, -2, -2])        # square knot: kernel dimension 3
+@example([1, 1, 1, 1])                 # T(2,4), a link: 4 colors at (5, 2)
+@example([1, 2, 1, 2, 1, 2, 1, 2])     # T(3,4): 4 colors at (7, 3)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3).flatmap(lambda g: st.sampled_from([g, -g])), min_size=1, max_size=10))
+def test_markov_stabilization_keeps_the_invariants(word):
+    """Appending sigma_n or its inverse on a new strand n + 1 is a Markov
+    move: the closure is the same knot or link, and its diagram gains one
+    kink, so the colorings and their collapses carry over.  The witness is
+    the first minimal coloring in arc order, and the move renumbers the
+    arcs, so the witness may move to another minimal coloring; the det B
+    values of all of them are compared."""
+    try:
+        base = _markov_invariants(braid_closure(word))
+    except QfoxError:
+        assume(False)  # a strand left out, or a split closure
+    n = max(abs(g) for g in word) + 1
+    for sign in (1, -1):
+        assert _markov_invariants(braid_closure(word + [sign * n])) == base, sign
 
 
 def test_braid_closure_rejects_untouched_strand():

@@ -1,5 +1,11 @@
 """Exact Laurent-polynomial arithmetic and the determinant pipeline."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,8 +15,10 @@ from qfox import (
     InexactDivisionError,
     LaurentPoly,
     NormalizationError,
+    QuandleParams,
     alexander_matrix,
     build_diagram,
+    coloring_matrix,
     exact_div,
     first_minor,
     get_diagram,
@@ -20,8 +28,9 @@ from qfox import (
     reduce_normalize,
     unit_equivalent,
 )
+import qfox
 from qfox import sparse
-from qfox.laurent import AlexMatrix, normalize_unit, relation_rows
+from qfox.laurent import AlexMatrix, normalize_unit
 from qfox.families import (
     PretzelParams,
     TorusParams,
@@ -230,11 +239,13 @@ def test_interpolated_det_matches_oracles(pencil):
     assert det_bareiss(_pencil_poly(a, b)) == expected
     assert det_pencil(a, b) == expected
     # Border with a first row and column that first_minor drops; the
-    # matrix holds its values at t = 0 and t = 1.
+    # matrix holds the (column, a, b) triples of its entries a + bt.
     n = len(a)
-    at_0 = [[1] * (n + 1)] + [[2] + r for r in a]
-    at_1 = [[-1] * (n + 1)] + [[0] + [x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    assert first_minor(AlexMatrix(at_0, at_1, tuple(range(n + 1)))) == expected
+    rows = [[(j, 1, -2) for j in range(n + 1)]] + [
+        [(0, 2, -2)] + [(j + 1, x, y) for j, (x, y) in enumerate(zip(ra, rb)) if x or y]
+        for ra, rb in zip(a, b)
+    ]
+    assert first_minor(AlexMatrix(rows, tuple(range(n + 1)))) == expected
 
 
 def test_det_int_small_cases():
@@ -310,18 +321,39 @@ def test_first_minor_past_the_modulus_table_raises():
     2^19937 does not."""
     top = sparse.MERSENNE_EXPONENTS[-1]
     fits = 1 << (top - 2)
-    assert first_minor(AlexMatrix([[1, 1], [1, fits]], [[1, 1], [1, fits]], (1, 2))) == LaurentPoly((fits,))
+
+    def constant(x):
+        return AlexMatrix([[(0, 1, 0), (1, 1, 0)], [(0, 1, 0), (1, x, 0)]], (1, 2))
+
+    assert first_minor(constant(fits)) == LaurentPoly((fits,))
     huge = 1 << top
     with pytest.raises(DiagramError, match="past the largest tabulated modulus"):
-        first_minor(AlexMatrix([[1, 1], [1, huge]], [[1, 1], [1, huge]], (1, 2)))
+        first_minor(constant(huge))
+
+
+def test_alexander_past_the_modulus_table_exits_1_within_1_gb():
+    """T(2,10001) needs a bound of about 2^20000.  The CLI names the
+    modulus table, in well under a gigabyte of address space."""
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(qfox.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfox.cli", "alexander", "torus:2,10001"],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.startswith("error: determinant bound of "), proc.stderr
+    assert proc.stderr.endswith(" bits is past the largest tabulated modulus 2^19937 - 1\n")
 
 
 # -- the diagram pipeline ---------------------------------------------------
 
 
 def test_alexander_matrix_row_sums_vanish_at_t1(trefoil):
-    for row in alexander_matrix(trefoil).at_1:
-        assert sum(row) == 0
+    for row in alexander_matrix(trefoil).rows:
+        assert sum(a + b for _, a, b in row) == 0
 
 
 def _relation_matrix_cases():
@@ -333,24 +365,52 @@ def _relation_matrix_cases():
     for word in ([1, 1, 1, 2, 2, 2], [1, 1, 1, -2, -2, -2], [1, 1, 1, 2, 2, 2, 2, 2],
                  [1, 1, 1, 2, 2, 2, 3, 3, 3]):
         cases.append(braid_closure(word, name=str(word)))
+    # Kinks.  [1]: all three arcs equal.  The trefoil stabilized by sigma_2
+    # (over = outgoing under-arc) and by its inverse (over = incoming
+    # under-arc): at the negative crossing the relation swaps the under-arc
+    # roles, so both sum the over-arc with the arc read at -1.  [1, 2, 2, 2]
+    # sums it with the arc read at t instead, and the Hopf link [1, 1] sums
+    # the two under-arcs.
+    for word in ([1], [1, 1, 1, 2], [1, 1, 1, -2], [1, 2, 2, 2], [1, 1]):
+        cases.append(braid_closure(word, name=str(word)))
     return cases
 
 
 def test_alexander_matrix_equals_laurent_reference():
+    """One triple per non-zero entry of the reference, at most three per
+    row, in distinct columns; the cases meet every way the arcs of a
+    relation can coincide: (arc read at t == over-arc, over-arc == arc read
+    at -1, arc read at -1 == arc read at t)."""
+    kinks = set()
     for d in _relation_matrix_cases():
         mat = alexander_matrix(d)
         ref = alexander_matrix_reference(d)
-        assert mat.at_0 == [[e.evaluate(0) for e in row] for row in ref], d.name
-        assert mat.at_1 == [[e.evaluate(1) for e in row] for row in ref], d.name
         assert (mat.n_rows, mat.n_cols) == (len(d.crossings), len(d.arcs)), d.name
+        for row, ref_row in zip(mat.rows, ref, strict=True):
+            assert len(row) <= 3 and len({j for j, _, _ in row}) == len(row), d.name
+            assert all(a or b for _, a, b in row), d.name
+            dense = [LaurentPoly()] * mat.n_cols
+            for j, a, b in row:
+                dense[j] = LaurentPoly((a, b))
+            assert tuple(dense) == ref_row, d.name
+        for c in d.crossings:
+            x_in, x_out = (c.under_in, c.under_out) if c.sign > 0 else (c.under_out, c.under_in)
+            kinks.add((x_in == c.over, c.over == x_out, x_out == x_in))
+    assert kinks >= {(True, True, True), (True, False, False), (False, True, False), (False, False, True)}
 
 
 def test_relation_rows_are_the_reference_evaluated():
+    """The pencil at an integer t mod p, as sparse.pencil_at and
+    coloring_matrix read it, is the reference evaluated there."""
     for d in _relation_matrix_cases():
+        rows = alexander_matrix(d).rows
         ref = alexander_matrix_reference(d)
         for t in (-3, -1, 0, 2, 5):
-            expected = [[e.evaluate(t) for e in row] for row in ref]
-            assert relation_rows(d, t) == expected, (d.name, t)
+            for p in (3, 7, (1 << 61) - 1):
+                expected = [{j: v for j, e in enumerate(row) if (v := e.evaluate(t) % p)} for row in ref]
+                assert sparse.pencil_at(rows, t, p) == expected, (d.name, t, p)
+                if t % p:
+                    assert coloring_matrix(d, QuandleParams(p, t)).rows == expected, (d.name, t, p)
 
 
 @pytest.mark.parametrize(
