@@ -12,18 +12,27 @@ mod a prime above twice a Hadamard bound on the collapsed matrix.
 
 Minimum-color search walks the non-trivial kernel vectors up to the affine
 action  v -> a v + b  (a unit, b anything), which preserves both validity
-and the number of distinct colors.  One vector per affine class is visited,
-stepping from one to the next by a single vector addition, and colors are
-counted on it as it stands; only the returned witness is put in canonical
-form: first entry 0, first entry differing from it 1.
+and the number of distinct colors.  It visits one vector per affine class,
+a line at a time: the p classes  prefix + c * last,  c = 0..p-1, for the
+last basis vector.  A vector is one int with a field of 8, 16, 32 or 64
+bits per arc, so a step along a line is one packed addition mod p, and the
+colors are counted over its bytes.  Arcs with equal coordinates in last keep
+the differences of their colors along a line, so the largest such group's
+number of colors bounds every class on the line from below: the minimum
+search skips a line whose bound reaches the best count so far, and the
+all-distinct search skips a line where a group repeats a color, neither of
+which changes the class found.  A field holds p < 2^63; a search with lines
+at a larger p, at least 2^63 classes, raises ColoringError.  Only the
+returned witness is put in canonical form: first entry 0, first entry
+differing from it 1.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import product
 from math import gcd
+from operator import itemgetter
 
 from .diagram import Diagram
 from .errors import ColoringError
@@ -171,10 +180,53 @@ def _affine_canonical(v: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple([((x - base) * scale) % p for x in v])
 
 
-def _orbit_representatives(d: Diagram, params: QuandleParams):
-    """Yield one coloring vector per affine class of non-constant colorings,
-    as a list that is never changed after it is yielded.  Vectors are not in
-    canonical form; pass the one kept to _affine_canonical."""
+# memoryview format of one field of a packed vector, by width in bits.
+_FIELD_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _field_width(p: int) -> int:
+    """Bits per field of a packed color vector: the smallest of 8, 16, 32,
+    64, 128, ... with p < 2^(w-1)."""
+    w = 8
+    while p >> (w - 1):
+        w *= 2
+    return w
+
+
+def _pack(v: Sequence[int], w: int) -> int:
+    """One int holding v[i] in bits w*i .. w*i + w - 1."""
+    size = w // 8
+    return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in v]), "little")
+
+
+def _unpack(x: int, q: int, w: int) -> list[int]:
+    """The q fields of a packed vector."""
+    size = w // 8
+    b = x.to_bytes(q * size, "little")
+    return [int.from_bytes(b[i:i + size], "little") for i in range(0, len(b), size)]
+
+
+def _mod_adder(p: int, q: int, w: int):
+    """Field-by-field addition mod p of packed vectors of q colors.  A field
+    of the sum is below 2p < 2^w; adding 2^(w-1) - p to it sets its top bit
+    exactly when it is >= p, and p is taken off those fields."""
+    ones = _pack([1] * q, w)
+    high = ones << (w - 1)
+    offset = ones * ((1 << (w - 1)) - p)
+    top = w - 1
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + offset) & high) >> top) * p
+
+    return add
+
+
+def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
+    """Yield (number of colors, packed vector) for one vector of each affine
+    class of non-constant colorings, in walk order, leaving out each line
+    that walk_line(lower, upper) turns down (see _walk_lines).  Fields are
+    _field_width(p) bits wide; _witness unpacks the vector kept."""
     p = params.n
     basis = kernel_basis(coloring_matrix(d, params))
     if len(basis) < 2:
@@ -186,23 +238,74 @@ def _orbit_representatives(d: Diagram, params: QuandleParams):
     if any(sum(col) % p != 1 for col in zip(*basis)):
         raise ColoringError("internal inconsistency: constant vectors not in kernel")
     rest = basis[1:]
-    last = rest[-1]
-    # Projective class j: coefficient 1 on rest[j], 0 before it, and every
-    # coefficient tuple after it in product order, the last one fastest.
-    # Each prefix combination is built once; the last coefficient then
-    # steps by adding rest[-1].  The final class is rest[-1] alone.
+    w = _field_width(p)
+    if len(rest) > 1:
+        if w > 64:
+            raise ColoringError(
+                f"orbit search at p={p} would walk at least 2^63 affine classes; "
+                "packed color fields hold p < 2^63"
+            )
+        yield from _walk_lines(rest, p, w, walk_line)
+    # The final class is rest[-1] alone.
+    yield len(set(rest[-1])), _pack(rest[-1], w)
+
+
+def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
+    """The lines of _orbit_walk, on vectors packed w <= 64 bits a field.
+    Projective class j has coefficient 1 on rest[j], 0 before it, and every
+    coefficient tuple after it in product order, the last one fastest: for
+    each prefix rest[j] + c . rest[j+1:-1] it is the line of p classes
+    prefix + c * rest[-1], c = 0..p-1.
+
+    Along a line, arcs with equal coordinates in rest[-1] move by the same
+    amount, so each such group keeps its number of distinct colors.  The
+    largest is a lower bound on the count of every class on the line, and
+    their sum an upper bound; walk_line(lower, upper) says whether to walk
+    the line."""
+    q = len(rest[-1])
+    nbytes = q * w // 8
+    fmt = _FIELD_FORMAT[w]
+    add = _mod_adder(p, q, w)
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(rest[-1]):
+        groups.setdefault(c, []).append(i)
+    lone = sum(len(g) == 1 for g in groups.values())
+    getters = [itemgetter(*g) for g in groups.values() if len(g) > 1]
+    rest = [_pack(v, w) for v in rest]
+    step = rest[-1]
+    # Fields are read in native byte order from little-endian bytes; a
+    # byte swap within each field would not change any count.
     for j in range(len(rest) - 1):
         middle = rest[j + 1:-1]
-        for prefix in product(range(p), repeat=len(middle)):
-            v = list(rest[j])
-            for c, b in zip(prefix, middle):
-                if c:
-                    v = [(x + c * y) % p for x, y in zip(v, b)]
-            yield v
-            for _ in range(p - 1):
-                v = [(x + y) % p for x, y in zip(v, last)]
-                yield v
-    yield list(last)
+        digits = [0] * len(middle)
+        x = rest[j]
+        while True:
+            fields = memoryview(x.to_bytes(nbytes, "little")).cast(fmt)
+            distinct = [len(set(get(fields))) for get in getters]
+            if walk_line(max(distinct, default=1), lone + sum(distinct)):
+                y = x
+                for _ in range(p):
+                    b = y.to_bytes(nbytes, "little")
+                    yield len(set(b if w == 8 else memoryview(b).cast(fmt))), y
+                    y = add(y, step)
+            # The next prefix.  A coefficient that wraps from p - 1 to 0 has
+            # had its vector added p times, which is 0 mod p.
+            i = len(middle) - 1
+            while i >= 0:
+                x = add(x, middle[i])
+                digits[i] += 1
+                if digits[i] < p:
+                    break
+                digits[i] = 0
+                i -= 1
+            if i < 0:
+                break
+
+
+def _witness(d: Diagram, params: QuandleParams, x: int) -> Coloring:
+    """The coloring of a packed vector of _orbit_walk, in canonical form."""
+    v = _unpack(x, len(d.arcs), _field_width(params.n))
+    return Coloring(params.n, params.m, dict(zip(d.arcs, _affine_canonical(v, params.n))))
 
 
 def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Coloring]:
@@ -213,16 +316,19 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
     witness is the canonical form of the first representative attaining the
     minimum.
     """
-    best: tuple[int, list[int]] | None = None
-    for v in _orbit_representatives(d, params):
-        count = len(set(v))
+    best: tuple[int, int] | None = None
+    # A line whose lower bound reaches the best count holds no class with
+    # fewer colors, so skipping it keeps the first minimum as the witness.
+    for count, x in _orbit_walk(
+        d, params, lambda lower, upper: best is None or lower < best[0]
+    ):
         if best is None or count < best[0]:
-            best = (count, v)
+            best = (count, x)
     if best is None:
         raise ColoringError(
             f"no non-trivial coloring of {d.name or 'diagram'} for n={params.n}, m={params.m}"
         )
-    count, v = best
+    count, x = best
     p, m = params.n, params.m
     # Links are left out: a split link has 2-color colorings.
     if d.components == 1 and max(abs(m), abs(m - 1)) >= 2:
@@ -232,8 +338,7 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
                 f"internal inconsistency: {count} colors is below the "
                 f"Kauffman-Lopes bound {kl} for p={p}, m={m}"
             )
-    coloring = Coloring(p, m, dict(zip(d.arcs, _affine_canonical(v, p))))
-    return count, coloring
+    return count, _witness(d, params, x)
 
 
 def coloring_from_anchors(
@@ -314,10 +419,17 @@ def kh_witness(
         raise ColoringError(
             f"KH check needs p equal to the reduced value at m: value {value}, p {p}"
         )
+    return _first_all_distinct(d, params)
+
+
+def _first_all_distinct(d: Diagram, params: QuandleParams) -> Coloring | None:
+    """The first class of the orbit walk with pairwise distinct colors on
+    all arcs, in canonical form, or None.  A line on which some group of
+    _walk_lines repeats a color holds no such class."""
     q = len(d.arcs)
-    for v in _orbit_representatives(d, params):
-        if len(set(v)) == q:
-            return Coloring(p, m, dict(zip(d.arcs, _affine_canonical(v, p))))
+    for count, x in _orbit_walk(d, params, lambda lower, upper: upper == q):
+        if count == q:
+            return _witness(d, params, x)
     return None
 
 

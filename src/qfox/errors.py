@@ -50,14 +50,30 @@ class ColoringError(QfoxError):
     or a coloring request that cannot be satisfied."""
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or its number of digits past Python's limit on
+    int-to-str conversion (4300 digits by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        n = abs(n)
+        k = int(n.bit_length() * 0.30103)
+        while 10**k <= n:
+            k += 1
+        while k > 1 and 10 ** (k - 1) > n:
+            k -= 1
+        return f"a {k}-digit integer"
+
+
 class CompositeValueError(QfoxError):
     """An evaluation that must be an odd prime is not.  Carries the value
     and the witness factor, or None when the factor search gave up."""
 
     def __init__(self, value: int, factor: int | None = None):
-        msg = f"{value} is not an odd prime"
+        shown = _decimal(value)
+        msg = f"{shown} is not an odd prime"
         if factor is not None:
-            msg += f" ({value} = {factor} * {value // factor})"
+            msg += f" ({shown} = {_decimal(factor)} * {_decimal(value // factor)})"
         else:
             msg += " (no factor found within the rho budget)"
         super().__init__(msg)

@@ -33,6 +33,13 @@ _CCW = {
 
 Port = tuple[int, str]
 
+# Family diagrams and polynomials are built up to this many crossings.  The
+# determinant bound of a first minor passes the largest tabulated modulus
+# near 10^4 crossings, which the CLI reports as an error; the cap stops a
+# specifier such as torus:2,99999999999 before its braid word of b(a-1)
+# letters or its dense polynomial of about ab coefficients is built.
+MAX_CROSSINGS = 100_000
+
 
 def _assemble(over_flags: list[str], connectors: list[tuple[Port, Port]]) -> PdCode:
     """Edges from connectors, orientation by traversal, PD tuples per crossing.
@@ -129,7 +136,8 @@ def braid_closure(word: list[int], name: str = "") -> Diagram:
 
 @dataclass(frozen=True)
 class TorusParams:
-    """Coprime parameters, canonicalized to 2 <= a < b (signs stripped)."""
+    """Coprime parameters, canonicalized to 2 <= a < b (signs stripped), of
+    a knot with at most MAX_CROSSINGS crossings."""
 
     a: int
     b: int
@@ -142,6 +150,11 @@ class TorusParams:
             raise DiagramError(f"T({self.a},{self.b}) is not a torus knot (|a| >= 2 needed)")
         if gcd(a, b) != 1:
             raise DiagramError(f"T({self.a},{self.b}) needs coprime parameters")
+        if b * (a - 1) > MAX_CROSSINGS:
+            raise DiagramError(
+                f"T({self.a},{self.b}) has more than {MAX_CROSSINGS} crossings, "
+                "the size limit of a family"
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -202,7 +215,8 @@ def torus_mincol_interval(tp: TorusParams, m: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class PretzelParams:
-    """Odd a >= 3; the knot P(-2, 3, a)."""
+    """Odd a >= 3; the knot P(-2, 3, a), with a + 5 <= MAX_CROSSINGS
+    crossings."""
 
     a: int
 
@@ -211,6 +225,10 @@ class PretzelParams:
         # (its value at 1 is 0, impossible for a knot).
         if self.a < 3 or self.a % 2 == 0:
             raise DiagramError(f"pretzel parameter must be odd and >= 3, got {self.a}")
+        if self.a + 5 > MAX_CROSSINGS:
+            raise DiagramError(
+                f"{self.name} has more than {MAX_CROSSINGS} crossings, the size limit of a family"
+            )
 
     @property
     def name(self) -> str:

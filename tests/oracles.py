@@ -12,7 +12,11 @@ a, b) triples of qfox.laurent.alexander_matrix and their values at t = m
 mod p (qfox.sparse.pencil_at), and is the source of every Z[t] matrix and
 every dense integer row the tests need.  kernel_vectors lists every
 coloring that the orbit search walks up to the affine action,
-enumerate_colorings_brute lists them by exhaustive search.  _row_reduce is
+enumerate_colorings_brute lists them by exhaustive search, and
+orbit_representatives is the walk itself on plain lists, one class at a
+time with no line skipped, against the packed walk of
+qfox.coloring._orbit_walk: first_minimum and first_all_distinct read the
+witnesses of min_colors_on_diagram and kh_witness off it.  _row_reduce is
 the dense RREF mod p that the sparse echelon form of qfox.sparse replaced:
 rank, kernel_basis_rref and anchored_solution_rref read the rank, the
 kernel basis and the anchored coloring off it.  bareiss, the fraction-free
@@ -34,6 +38,7 @@ from math import factorial
 from qfox.coloring import (
     Coloring,
     ModMatrix,
+    _affine_canonical,
     _require_prime_modulus,
     coloring_matrix,
     kernel_basis,
@@ -329,6 +334,54 @@ def kernel_vectors(d, params) -> set[tuple[int, ...]]:
                     v[i] = (v[i] + c * x) % p
         out.add(tuple(v))
     return out
+
+
+def orbit_representatives(d, params):
+    """Yield one coloring vector per affine class of non-constant colorings,
+    in the walk order of qfox.coloring._orbit_walk, as a list that is never
+    changed after it is yielded.  Vectors are not in canonical form."""
+    p = params.n
+    basis = kernel_basis(coloring_matrix(d, params))
+    if len(basis) < 2:
+        return
+    # The all-ones vector is the sum of the basis, so it can replace
+    # basis[0]: affine classes are the projective classes of the rest.
+    rest = basis[1:]
+    last = rest[-1]
+    # Projective class j: coefficient 1 on rest[j], 0 before it, and every
+    # coefficient tuple after it in product order, the last one fastest.
+    for j in range(len(rest) - 1):
+        middle = rest[j + 1:-1]
+        for prefix in product(range(p), repeat=len(middle)):
+            v = list(rest[j])
+            for c, b in zip(prefix, middle):
+                if c:
+                    v = [(x + c * y) % p for x, y in zip(v, b)]
+            yield v
+            for _ in range(p - 1):
+                v = [(x + y) % p for x, y in zip(v, last)]
+                yield v
+    yield list(last)
+
+
+def first_minimum(d, params) -> tuple[int, tuple[int, ...]] | None:
+    """The fewest colors over orbit_representatives and the canonical form
+    of the first representative attaining them, or None."""
+    best = None
+    for v in orbit_representatives(d, params):
+        count = len(set(v))
+        if best is None or count < best[0]:
+            best = (count, v)
+    return None if best is None else (best[0], _affine_canonical(best[1], params.n))
+
+
+def first_all_distinct(d, params) -> tuple[int, ...] | None:
+    """The canonical form of the first of orbit_representatives with
+    pairwise distinct colors, or None."""
+    for v in orbit_representatives(d, params):
+        if len(set(v)) == len(v):
+            return _affine_canonical(v, params.n)
+    return None
 
 
 def pivot_rows_fraction(rows: list[list[int]]) -> tuple[list[int], Fraction]:

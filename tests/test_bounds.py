@@ -176,6 +176,20 @@ def test_require_odd_prime_passes_silently():
     require_odd_prime(151)
 
 
+def test_composite_past_the_digit_limit_is_named_by_its_digit_count():
+    # 4300 digits still print in full; 4301 and more are counted.
+    value = 3 * 10**4299
+    assert str(CompositeValueError(value, 3)) == f"{value} is not an odd prime ({value} = 3 * {10**4299})"
+    value = 3 * (10**5000 + 1)
+    assert str(CompositeValueError(value, 3)) == (
+        "a 5001-digit integer is not an odd prime (a 5001-digit integer = 3 * a 5001-digit integer)"
+    )
+    assert str(CompositeValueError(10**4300)) == (
+        "a 4301-digit integer is not an odd prime (no factor found within the rho budget)"
+    )
+    assert str(CompositeValueError(10**4301 - 1, 9)).startswith("a 4301-digit integer is not")
+
+
 def test_require_odd_prime_names_a_factor():
     with pytest.raises(CompositeValueError) as exc:
         require_odd_prime(39)

@@ -375,6 +375,17 @@ def test_families_pretzel_report(capsys):
     assert payload["report"]["upper_bound"]["value"] == 9
 
 
+def test_families_names_a_composite_past_the_digit_limit_by_its_digit_count(capsys):
+    """T(2,20001) at m = 2 is (2^20001 + 1) / 3, a 6021-digit multiple of 3,
+    past the 4300 digits that str() converts."""
+    rc, out, err = run(capsys, "families", "torus:2,20001", "--m", "2")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "at m=2:        interval withheld (a 6021-digit integer is not an odd prime "
+        "(a 6021-digit integer = 3 * a 6020-digit integer)); kl bound 20001"
+    )
+
+
 def test_families_needs_specifier(capsys):
     rc, _, err = run(capsys, "families", "3_1")
     assert rc == 1 and "specifier" in err

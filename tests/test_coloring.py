@@ -4,12 +4,13 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qfox import (
     Coloring,
     ColoringError,
+    QfoxError,
     QuandleParams,
     alexander_matrix,
     build_diagram,
@@ -31,14 +32,26 @@ from qfox import (
     verify_coloring,
 )
 from qfox import coloring
-from qfox.coloring import ModMatrix, _affine_canonical, _orbit_representatives
+from qfox.coloring import (
+    ModMatrix,
+    _affine_canonical,
+    _field_width,
+    _first_all_distinct,
+    _mod_adder,
+    _orbit_walk,
+    _pack,
+    _unpack,
+)
 from qfox.sparse import pivot_minor
 from oracles import (
     alexander_matrix_reference,
     anchored_solution_rref,
     enumerate_colorings_brute,
+    first_all_distinct,
+    first_minimum,
     kernel_basis_rref,
     kernel_vectors,
+    orbit_representatives,
     pivot_rows_fraction,
     rank,
 )
@@ -431,7 +444,7 @@ def test_min_colors_of_sums_match_kernel_oracle(ns, p, m, dim):
 def test_orbit_representatives_are_one_per_affine_class(ns, p, m, dim):
     d = _sum(*ns)
     params = QuandleParams(p, m)
-    reps = [tuple(v) for v in _orbit_representatives(d, params)]
+    reps = [tuple(v) for v in orbit_representatives(d, params)]
     assert len(reps) == (p ** (dim - 1) - 1) // (p - 1)
     canon = {_affine_canonical(v, p) for v in reps}
     assert len(canon) == len(reps)      # pairwise affine-inequivalent
@@ -443,6 +456,156 @@ def test_affine_canonical_rejects_constant_vector():
     with pytest.raises(ColoringError, match="constant vector"):
         _affine_canonical((4, 4, 4), 7)
     assert _affine_canonical((3, 5, 3), 7) == (0, 1, 0)
+
+
+# -- the packed walk by lines against the list walk of the oracle -----------------------------
+
+
+def _assert_walk_matches_oracle(d, params):
+    """The count and canonical witness of min_colors_on_diagram are the
+    oracle's first minimum, and the all-distinct search of kh_witness finds
+    the oracle's first all-distinct class."""
+    want = first_minimum(d, params)
+    if want is None:
+        with pytest.raises(ColoringError, match="no non-trivial coloring"):
+            min_colors_on_diagram(d, params)
+    else:
+        count, witness = min_colors_on_diagram(d, params)
+        assert (count, tuple(witness.colors[a] for a in d.arcs)) == want
+    found = _first_all_distinct(d, params)
+    got = None if found is None else tuple(found.colors[a] for a in d.arcs)
+    assert got == first_all_distinct(d, params)
+
+
+def _odd_prime_factors(value, limit):
+    """The odd primes up to limit that divide a non-zero value."""
+    if not value:
+        return []
+    return [q for q in range(3, limit + 1, 2) if value % q == 0 and smallest_prime_factor(q) == q]
+
+
+# Field widths: 8 bits up to p = 127, 16 bits from 131 to 2731.
+WALK_PRIMES = [3, 5, 7, 11, 13, 43, 127, 131, 683, 2731]
+
+
+@st.composite
+def walk_cases(draw):
+    """A sum of T(2, n) and their mirrors (links where n is even), or the closure
+    of a braid word on up to four strands, at some m and a prime p at most
+    2731, preferring the primes that divide the reduced value at m; at most
+    3000 affine classes."""
+    if draw(st.booleans()):
+        # Repeated summands give kernel dimension 3 and more.
+        base, copies = draw(st.integers(2, 13)), draw(st.integers(1, 4))
+        ns = draw(st.permutations([base] * copies + draw(st.lists(st.integers(2, 13), max_size=2))))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(ns), max_size=len(ns)))
+        word = [s * (i + 1) for i, (n, s) in enumerate(zip(ns, signs)) for _ in range(n)]
+    else:
+        letter = st.integers(1, 3).flatmap(lambda g: st.sampled_from([g, -g]))
+        word = draw(st.lists(letter, min_size=1, max_size=10))
+    try:
+        d = braid_closure(word, name=str(word))
+    except QfoxError:
+        assume(False)  # a strand left out, or a component that never passes under
+    m = draw(st.sampled_from([-1, 2, 3, 4]))
+    value = first_minor(alexander_matrix(d)).evaluate(m)
+    # A split closure has value 0 and colorings at every p.
+    candidates = [q for q in _odd_prime_factors(abs(value), 2731) if m % q not in (0, 1)]
+    p = draw(st.sampled_from(candidates or [q for q in WALK_PRIMES if m % q not in (0, 1)]))
+    params = QuandleParams(p, m)
+    k = len(kernel_basis(coloring_matrix(d, params)))
+    assume(k < 2 or (p ** (k - 1) - 1) // (p - 1) <= 3000)
+    return d, params
+
+
+@example((braid_closure([1] * 11 + [2] * 11), QuandleParams(683, 2)))      # 16-bit fields
+@example((braid_closure([1] * 7 + [-2] * 7), QuandleParams(547, 3)))
+@example((braid_closure([1] * 4 + [2] * 4 + [3] * 3), QuandleParams(5, 2)))  # a link
+@settings(max_examples=80, deadline=None)
+@given(walk_cases())
+def test_packed_walk_matches_the_list_walk(case):
+    _assert_walk_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("ns,p,m", [((3, 3), 7, 3), ((3, 3, 3, 3), 3, 2), ((5, 5, 5), 11, 2),
+                                    ((3, 3, 3, 3, 3), 3, 2), ((4, 4), 5, 2), ((6, 6), 3, -1)])
+def test_walk_visits_the_oracle_classes_in_order(ns, p, m):
+    """With no line skipped, the packed walk visits the classes of the list
+    walk, in the same order, with the same color counts."""
+    d = _sum(*ns)
+    params = QuandleParams(p, m)
+    q, w = len(d.arcs), _field_width(p)
+    walked = [(count, _affine_canonical(_unpack(x, q, w), p))
+              for count, x in _orbit_walk(d, params, lambda lower, upper: True)]
+    want = [(len(set(v)), _affine_canonical(v, p)) for v in orbit_representatives(d, params)]
+    assert len(want) > p and walked == want
+
+
+@pytest.mark.parametrize("word,p,m", [
+    ([1, 1, -1, -1], 3, 2),                   # split closure: 3 colors, a 2-color class
+    ([1, 1, -1, -1], 5, 2),
+    ([1, 1, -1, -1], 7, 3),
+    ([1] * 13 + [2] * 13, 2731, 2),           # 2 x T(2,13): 16-bit fields
+    ([1] * 17 + [2] * 17, 43691, 2),          # 2 x T(2,17): 32-bit fields
+    ([1] * 5 + [2] * 5 + [3] * 5 + [4] * 5, 11, 2),
+    ([1, 1, 1, -2, -2, -2, 3, 3, 3, -4, -4, -4, 5, 5, 5], 3, 2),
+])
+def test_packed_walk_matches_the_list_walk_on_fixed_cases(word, p, m):
+    _assert_walk_matches_oracle(braid_closure(word), QuandleParams(p, m))
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, -1), (17, 4)])
+def test_packed_walk_matches_the_list_walk_on_l4a1(l4a1, p, m):
+    _assert_walk_matches_oracle(l4a1, QuandleParams(p, m))
+
+
+def test_kh_witness_is_the_first_all_distinct_class():
+    cases = [(torus_diagram(TorusParams(2, 5)), 11, 2), (torus_diagram(TorusParams(2, 7)), 43, 2),
+             (get_diagram("4_1"), 5, 4), (pretzel_diagram(PretzelParams(5)), 151, 2)]
+    for d, p, m in cases:
+        found = kh_witness(d, QuandleParams(p, m), reduced_alternating=True)
+        got = None if found is None else tuple(found.colors[a] for a in d.arcs)
+        assert got == first_all_distinct(d, QuandleParams(p, m))
+
+
+# Primes just below and above 2^7, 2^15 and 2^31, and the largest below 2^63.
+FIELD_BOUNDARY_PRIMES = [
+    (127, 8), (131, 16), (32749, 16), (32771, 32),
+    (2**31 - 1, 32), (2**31 + 11, 64), (2**63 - 25, 64),
+]
+
+
+@pytest.mark.parametrize("p,w", FIELD_BOUNDARY_PRIMES)
+def test_packed_addition_at_field_boundaries(p, w):
+    assert smallest_prime_factor(p) == p
+    assert _field_width(p) == w
+    rng = random.Random(p)
+    q = 9
+    add = _mod_adder(p, q, w)
+    edges = [0, 1, p - 2, p - 1]
+    vectors = [[p - 1] * q, [0] * q, [1] * q, edges * 2 + [p // 2]]
+    vectors += [[rng.randrange(p) for _ in range(q)] for _ in range(20)]
+    for x in vectors:
+        assert _unpack(_pack(x, w), q, w) == x
+        for y in vectors:
+            assert _unpack(add(_pack(x, w), _pack(y, w)), q, w) == [(a + b) % p for a, b in zip(x, y)]
+
+
+def test_orbit_search_past_64_bit_fields_raises():
+    """T(2,3) # T(2,3) at m = 2^32 has kernel dimension 3 at the prime
+    p = 2^64 - 2^32 + 1 = m^2 - m + 1, so p + 1 classes: past what a packed
+    field holds, and far past any search that ends."""
+    d = braid_closure([1, 1, 1, 2, 2, 2])
+    params = QuandleParams(2**64 - 2**32 + 1, 2**32)
+    assert smallest_prime_factor(params.n) == params.n
+    assert len(kernel_basis(coloring_matrix(d, params))) == 3
+    with pytest.raises(ColoringError, match="2\\^63"):
+        min_colors_on_diagram(d, params)
+    with pytest.raises(ColoringError, match="2\\^63"):
+        _first_all_distinct(d, params)
+    # One class needs no packed step: the trefoil alone is fine at this p.
+    count, witness = min_colors_on_diagram(braid_closure([1, 1, 1]), params)
+    assert count == 3 and verify_coloring(braid_closure([1, 1, 1]), witness)
 
 
 # -- the Kauffman-Lopes bound as an invariant of the search ------------------------------------

@@ -1,6 +1,11 @@
 """Torus and pretzel generators: diagrams, closed forms, and reports."""
 
+import os
+import resource
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -34,9 +39,9 @@ from qfox import (
     torus_mincol_interval,
     verify_coloring,
 )
-from qfox.coloring import _orbit_representatives
-from qfox.families import pretzel_anchors, torus_braid_word
-from oracles import hironaka_quotient
+import qfox
+from qfox.families import MAX_CROSSINGS, pretzel_anchors, torus_braid_word
+from oracles import hironaka_quotient, orbit_representatives
 
 
 def _alternating_units(poly):
@@ -83,7 +88,7 @@ def _markov_invariants(d):
         count, _ = min_colors_on_diagram(d, params)
         dets = sorted(
             collapse_and_check(d, Coloring(p, m, dict(zip(d.arcs, v)))).det_b
-            for v in _orbit_representatives(d, params)
+            for v in orbit_representatives(d, params)
             if len(set(v)) == count
         )
         out.append((dim, count, dets))
@@ -212,6 +217,42 @@ def test_torus_mincol_interval_rejects_tiny_m():
 
 
 # -- pretzel parameters ----------------------------------------------------------------------
+
+
+# -- size limit ------------------------------------------------------------------------
+
+
+def test_families_stop_at_the_crossing_limit():
+    assert TorusParams(2, MAX_CROSSINGS - 1).crossing_number == MAX_CROSSINGS - 1
+    assert TorusParams(3, MAX_CROSSINGS // 2).crossing_number == MAX_CROSSINGS
+    assert PretzelParams(MAX_CROSSINGS - 5).a == MAX_CROSSINGS - 5
+    with pytest.raises(DiagramError, match="size limit"):
+        TorusParams(2, MAX_CROSSINGS + 1)
+    with pytest.raises(DiagramError, match="size limit"):
+        TorusParams(MAX_CROSSINGS + 1, 3)
+    with pytest.raises(DiagramError, match="size limit"):
+        PretzelParams(MAX_CROSSINGS - 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["families", "torus:2,99999999999", "--m", "2"],
+    ["families", "pretzel:99999999999", "--m", "2"],
+    ["alexander", "torus:2,99999999999"],
+])
+def test_huge_family_specifiers_exit_1_within_1_gb(argv):
+    """The size is checked before a braid word or a dense polynomial is
+    built, in well under a gigabyte of address space."""
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(qfox.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfox.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.endswith(f"has more than {MAX_CROSSINGS} crossings, the size limit of a family\n")
 
 
 def test_pretzel_params():
