@@ -9,11 +9,30 @@ before c_k is negative, in which case the leading digit dies and there are
 k of them.  "Large enough" means m > max|c_i|, or m > max|c_i| + 1 in the
 single exceptional pattern where the two last non-zero coefficients before
 c_k are both negative.  All log computations are exact integer loops.
+
+Primality is decided in three regimes.  Below 4,759,123,141 a value that
+passes the base-2 strong test is settled by strong tests to bases 7 and 61
+(Jaeschke, Math. Comp. 61, 1993).  Between 2^64 and psi_13 strong tests to
+the 13 primes up to 41 prove it (Sorenson-Webster).  Everywhere else a
+strong Lucas test completes Baillie-PSW, proven below 2^64 and only probable
+from psi_13 on.
+
+prime_scan sieves before it tests.  The values of an integer polynomial
+repeat mod q with period q in m, so the first q values of a window show
+every class m = r (mod q) with q | value(m), and one slice of a bytearray
+per class strikes them in a block of consecutive m.  A struck value larger
+than q is composite; only the values left unstruck, and those no larger
+than the largest sieve prime, go to is_odd_prime.  Finding the classes of q
+takes q remainders, so a window shorter than q is not sieved by q: at 100
+values that would cost more than the tests it saves.  The window is
+evaluated and sieved a block at a time, so memory stays bounded in its
+length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from typing import NamedTuple
 
@@ -25,13 +44,16 @@ from .laurent import LaurentPoly
 # Primality
 # ---------------------------------------------------------------------------
 
-# Trial division by the witnesses, then one base-2 strong test.  For
-# 2^64 <= n < psi_13 strong tests to the other witnesses, all 13 primes up
-# to 41, make the answer proven (Sorenson-Webster, Math. Comp. 86, 2017).
+# Trial division by the witnesses, then one base-2 strong test.  Below
+# 4,759,123,141 = 48781 * 97561, the least composite passing strong tests to
+# bases 2, 7 and 61, the other two settle n (Jaeschke, Math. Comp. 61, 1993).
+# For 2^64 <= n < psi_13 strong tests to the other witnesses, all 13 primes
+# up to 41, make the answer proven (Sorenson-Webster, Math. Comp. 86, 2017).
 # Every other n gets a strong Lucas test, completing Baillie-PSW: proven
 # below 2^64, where no base-2 strong pseudoprime is a strong Lucas
 # pseudoprime (Feitsma-Galway enumeration), and only probable from psi_13 on.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_JAESCHKE_BELOW = 4_759_123_141
 MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
 
 
@@ -109,6 +131,8 @@ def _is_prime(n: int) -> bool:
     d = (n - 1) >> r
     if not _strong_probable_prime(n, 2, d, r):
         return False
+    if n < _JAESCHKE_BELOW:
+        return _strong_probable_prime(n, 7, d, r) and _strong_probable_prime(n, 61, d, r)
     if 1 << 64 <= n < MR_DETERMINISTIC_BELOW:
         return all(_strong_probable_prime(n, a, d, r) for a in _MR_WITNESSES[1:])
     return _strong_lucas_probable_prime(n)
@@ -128,8 +152,10 @@ def smallest_prime_factor(n: int) -> int | None:
     """Smallest prime factor of n >= 2: trial division, then Pollard rho
     (Brent's cycle finding, one gcd per batch of _RHO_BATCH steps) on n and
     on every factor it splits off.  The rho steps of the whole call share
-    one budget of 2^18; None when it runs out before n is split into
-    primes."""
+    one budget, weighted by the size of n: a step squares and reduces a
+    number of n's size, at schoolbook cost, so the budget is 2^18 steps up
+    to 128 bits and shrinks with the square of the bit length above that.
+    None when it runs out before n is split into primes."""
     if n < 2:
         raise BoundsError(f"no prime factor of {n}")
     for p in (2, 3, 5):
@@ -149,7 +175,7 @@ def smallest_prime_factor(n: int) -> int | None:
 
     # No factor is below f now, so a factor that passes the primality test
     # is a prime factor, and the smallest of those is the answer.
-    budget = 1 << 18
+    budget = (1 << 18) * 128**2 // max(n.bit_length(), 128) ** 2
     primes = []
     todo = [n]
     while todo:
@@ -412,13 +438,57 @@ def improved_lower_bound(poly: LaurentPoly, m: int, name: str = "") -> BoundRepo
     )
 
 
+# The scan sieve: the 78 primes below 400, and the number of consecutive m
+# evaluated and sieved at once.  A block holds at least _SIEVE_PRIMES[-1]
+# values, so the first block of a window shows every root class.
+_SIEVE_PRIMES = tuple([q for q in range(2, 400) if all(q % f for f in range(2, isqrt(q) + 1))])
+_SCAN_BLOCK = 1024
+
+
+def _values(coeffs: tuple[int, ...], min_exp: int, ms: range) -> list[int]:
+    """The polynomial with these coefficients at every m of ms, by one
+    Horner pass over the block."""
+    vals = [coeffs[-1]] * len(ms)
+    for c in coeffs[-2::-1]:
+        vals = [v * m + c for v, m in zip(vals, ms)]
+    if min_exp:
+        vals = [v * m**min_exp for v, m in zip(vals, ms)]
+    return vals
+
+
 def prime_scan(poly: LaurentPoly, m_from: int, m_to: int) -> list[tuple[int, int]]:
-    """All (m, value) with m_from <= m <= m_to and value an odd prime."""
+    """All (m, value) with m_from <= m <= m_to and value an odd prime, in
+    order of m.  The window is sieved a block at a time by the primes below
+    400 that are no larger than its length; is_odd_prime runs on the values
+    that no sieve prime divides and on those no larger than the largest
+    sieve prime."""
     if m_from > m_to:
         raise BoundsError(f"empty scan range {m_from}..{m_to}")
+    if poly.is_zero:
+        return []
+    if poly.min_exp < 0:
+        raise ValueError("cannot evaluate a polynomial with negative exponents")
+    small = _SIEVE_PRIMES[-1]
     hits = []
-    for m in range(m_from, m_to + 1):
-        v = poly.evaluate(m)
-        if v > 2 and is_odd_prime(v):
-            hits.append((m, v))
+    roots = None
+    for lo in range(m_from, m_to + 1, _SCAN_BLOCK):
+        ms = range(lo, min(lo + _SCAN_BLOCK, m_to + 1))
+        vals = _values(poly.coeffs, poly.min_exp, ms)
+        n = len(vals)
+        if roots is None:
+            # the offsets r < q from m_from of the classes with q | value,
+            # for the primes q whose period the window holds
+            roots = [(q, r) for q in _SIEVE_PRIMES if q <= n for r in range(q) if vals[r] % q == 0]
+        alive = bytearray(b"\x01") * n
+        for q, r in roots:
+            start = (r - (lo - m_from)) % q
+            alive[start::q] = bytes(len(range(start, n, q)))
+        if min(vals) <= small:
+            # q | q, so values up to the largest sieve prime are tested anyway
+            for i, v in enumerate(vals):
+                if 2 < v <= small:
+                    alive[i] = 1
+        for m, v in compress(zip(ms, vals), alive):
+            if v > 2 and is_odd_prime(v):
+                hits.append((m, v))
     return hits

@@ -101,9 +101,24 @@ def _derive_p(args, d: Diagram, out: dict, red: LaurentPoly | None = None) -> in
     return value
 
 
+def _json(payload: dict) -> str:
+    """The payload as JSON with every integer in full.  Python's limit on
+    int-to-str conversion (4300 digits by default, where the interpreter has
+    one) is lifted for the call and restored before it returns, because main
+    may run inside a longer-lived process."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload, sort_keys=True)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)

@@ -26,7 +26,9 @@ that collapse_and_check reads off qfox.sparse.pivot_minor.  arc_of_edge
 numbers arcs with a union-find of its own, against build_diagram.
 validate lists the invariants a built Diagram must satisfy, and
 base_m_digits expands an integer in base m, the digit count that
-qfox.bounds.floor_log computes without the digits.  hironaka_quotient
+qfox.bounds.floor_log computes without the digits.  prime_scan_reference
+scans one m at a time, LaurentPoly.evaluate and then is_odd_prime on every
+value, against the block sieve of qfox.bounds.prime_scan.  hironaka_quotient
 is the rational form of the pretzel polynomial, an exact division by
 (1+t)^3, against the closed form of qfox.families.pretzel_alexander.
 """
@@ -35,6 +37,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
+from qfox.bounds import is_odd_prime
 from qfox.coloring import (
     Coloring,
     ModMatrix,
@@ -452,6 +455,13 @@ def base_m_digits(p: int, m: int) -> list[int]:
         p, d = divmod(p, m)
         digits.append(d)
     return digits
+
+
+def prime_scan_reference(poly: LaurentPoly, m_from: int, m_to: int) -> list[tuple[int, int]]:
+    """Every (m, value) with m_from <= m <= m_to and value an odd prime,
+    testing each value."""
+    values = [(m, poly.evaluate(m)) for m in range(m_from, m_to + 1)]
+    return [(m, v) for m, v in values if is_odd_prime(v)]
 
 
 def hironaka_quotient(p: int, q: int) -> LaurentPoly:

@@ -4,11 +4,12 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfox
@@ -24,9 +25,17 @@ from qfox import (
     require_odd_prime,
     smallest_prime_factor,
 )
-from qfox.bounds import _strong_lucas_probable_prime, floor_log, probable_only, profile
-from qfox.laurent import alexander_matrix, first_minor, reduce_normalize
-from oracles import base_m_digits
+from qfox import bounds
+from qfox.bounds import (
+    _SIEVE_PRIMES,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
+    floor_log,
+    probable_only,
+    profile,
+)
+from qfox.laurent import LaurentPoly, alexander_matrix, first_minor, reduce_normalize
+from oracles import base_m_digits, prime_scan_reference
 
 TREFOIL_POLY = parse_poly("1 - t + t^2")
 P73 = parse_poly("2 - 3t + 3t^2 - 3t^3 + 2t^4")
@@ -116,6 +125,45 @@ def test_is_odd_prime_matches_sympy_per_regime(lo, hi):
         assert is_odd_prime(n) == sympy.isprime(n), n
 
 
+# The least composite passing strong tests to bases 2, 7 and 61 (Jaeschke).
+JAESCHKE = 4_759_123_141
+
+
+def test_jaeschke_bound_is_a_strong_pseudoprime_to_2_7_61():
+    assert JAESCHKE == 48781 * 97561
+    r = ((JAESCHKE - 1) & -(JAESCHKE - 1)).bit_length() - 1
+    d = (JAESCHKE - 1) >> r
+    assert all(_strong_probable_prime(JAESCHKE, a, d, r) for a in (2, 7, 61))
+    assert not is_odd_prime(JAESCHKE)
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [(JAESCHKE - 10**7, JAESCHKE), (JAESCHKE, JAESCHKE + 10**7)], ids=["below", "above"]
+)
+def test_is_odd_prime_matches_sympy_across_the_jaeschke_bound(lo, hi):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(lo)
+    values = [rng.randrange(lo, hi) | 1 for _ in range(2000)]
+    values += [sympy.nextprime(v) for v in values[:100]]
+    for n in values:
+        assert is_odd_prime(n) == sympy.isprime(n), n
+
+
+def test_no_lucas_test_below_the_jaeschke_bound(monkeypatch):
+    """Below the bound three strong bases settle every value: primes, the
+    base-2 strong pseudoprimes, and psi_4, which also passes bases 3 and 5."""
+    def lucas(n):
+        raise AssertionError(f"Lucas test on {n}")
+
+    monkeypatch.setattr(bounds, "_strong_lucas_probable_prime", lucas)
+    for n in (43, 61, 65537, (1 << 31) - 1, 4_759_123_129):   # primes
+        assert is_odd_prime(n)
+    for n in (*SPSP2, PSI[3], 3_215_031_751, JAESCHKE - 2):
+        assert not is_odd_prime(n)
+    with pytest.raises(AssertionError, match="Lucas test"):
+        is_odd_prime(4_759_123_153)   # the next prime takes the Lucas test
+
+
 @pytest.mark.parametrize("bound", [1 << 64, PSI[12]], ids=["2^64", "psi13"])
 def test_semiprimes_straddling_thresholds_rejected(bound):
     sympy = pytest.importorskip("sympy")
@@ -170,6 +218,37 @@ def test_composite_p_with_two_large_factors_exits_1(subcommand):
     assert proc.stderr == (
         f"error: {TWO_LARGE_FACTORS} is not an odd prime (no factor found within the rho budget)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "n,budget",
+    [
+        (PSI[11], 1 << 18),
+        (((1 << 61) - 1) * ((1 << 67) - 1), 1 << 18),      # 128 bits
+        (TWO_LARGE_FACTORS, (1 << 18) * 128**2 // 196**2),
+        (((1 << 521) - 1) * ((1 << 607) - 1), (1 << 18) * 128**2 // 1128**2),
+    ],
+    ids=["psi12", "128-bit", "196-bit", "1128-bit"],
+)
+def test_rho_budget_is_weighted_by_the_size_of_n(monkeypatch, n, budget):
+    """A rho step squares and reduces a number of n's size, so the budget
+    keeps 2^18 steps up to 128 bits and shrinks with the square of the bit
+    length above."""
+    given, taken = [], []
+    brent = bounds._brent
+
+    def recording(n, c, y, left):
+        d, steps = brent(n, c, y, left)
+        given.append(left)
+        taken.append(steps)
+        return d, steps
+
+    monkeypatch.setattr(bounds, "_brent", recording)
+    factor = smallest_prime_factor(n)
+    assert given[0] == budget
+    assert sum(taken) <= budget
+    if n.bit_length() > 128:
+        assert factor is None
 
 
 def test_require_odd_prime_passes_silently():
@@ -374,3 +453,79 @@ def test_prime_scan_link_table(l4a1):
 def test_prime_scan_rejects_empty_range():
     with pytest.raises(BoundsError):
         prime_scan(TREFOIL_POLY, 5, 2)
+
+
+def test_prime_scan_values_equal_to_a_sieve_prime():
+    # 3, 7 and 13 are divisible by a sieve prime, themselves, and still hits
+    assert prime_scan(TREFOIL_POLY, 2, 4) == [(2, 3), (3, 7), (4, 13)]
+    assert prime_scan(LaurentPoly((1,), 1), -50, 3000) == [
+        (m, m) for m in range(3, 3001) if is_odd_prime(m)
+    ]
+    assert prime_scan(LaurentPoly((_SIEVE_PRIMES[-1],)), 5, 7) == [(m, 397) for m in (5, 6, 7)]
+    assert prime_scan(LaurentPoly((3 * 7 * 19,)), 5, 7) == []
+
+
+def test_prime_scan_rejects_negative_exponents_like_evaluate():
+    poly = LaurentPoly((1, 1), -1)
+    with pytest.raises(ValueError) as want:
+        poly.evaluate(3)
+    with pytest.raises(ValueError) as got:
+        prime_scan(poly, 3, 5)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("m_from", [2, 4, 1000])
+def test_prime_scan_tests_only_the_survivors_of_the_sieve(monkeypatch, m_from):
+    """On 3_1 over 4000 values of m, as 2..4001, is_odd_prime sees exactly
+    the values that no sieve prime divides, and those no larger than the
+    largest sieve prime."""
+    m_to = m_from + 3999
+    tested = []
+    monkeypatch.setattr(bounds, "is_odd_prime", lambda n: tested.append(n) or is_odd_prime(n))
+    hits = prime_scan(TREFOIL_POLY, m_from, m_to)
+    values = [m * m - m + 1 for m in range(m_from, m_to + 1)]
+    survivors = [v for v in values if v <= _SIEVE_PRIMES[-1] or all(v % q for q in _SIEVE_PRIMES)]
+    assert tested == survivors
+    assert len(tested) < len(values) // 3
+    assert hits == prime_scan_reference(TREFOIL_POLY, m_from, m_to)
+
+
+def test_prime_scan_memory_is_bounded_by_the_block():
+    """2(m^2 - m + 1) is even, so its values are evaluated and struck a
+    block at a time and none is tested.  A list of the window's 50,000
+    values would take about 2 MB."""
+    tracemalloc.start()
+    try:
+        assert prime_scan(LaurentPoly((2, -2, 2)), 2, 50_001) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
+
+
+# Random polynomials: leading coefficients of either sign, products of two
+# factors as in T(3,4)'s reduced polynomial, a factor t or t^2, and zero.
+_polys = st.builds(
+    lambda cs, e: LaurentPoly.from_terms(enumerate(cs)).shifted(e),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=7),
+    st.integers(0, 2),
+)
+_products = st.builds(lambda a, b: a * b, _polys, _polys)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(_polys, _products, st.just(LaurentPoly.zero())),
+    st.integers(-1500, 1500),
+    st.one_of(st.integers(0, 30), st.integers(380, 420), st.integers(1000, 2600)),
+)
+@example(TREFOIL_POLY, 2, 2)
+@example(TREFOIL_POLY, -400, 2300)
+@example(parse_poly("1 - t + t^3 - t^5 + t^6"), -1030, 2100)    # T(3,4): no prime value
+@example(parse_poly("-1 + t - t^2"), -5, 5)
+@example(LaurentPoly((2,)), 0, 3)
+def test_prime_scan_matches_the_per_m_reference(poly, m_from, width):
+    """Windows that cross 0, shorter than the largest sieve prime, and
+    longer than a block."""
+    m_to = m_from + width
+    assert prime_scan(poly, m_from, m_to) == prime_scan_reference(poly, m_from, m_to)

@@ -386,6 +386,32 @@ def test_families_names_a_composite_past_the_digit_limit_by_its_digit_count(caps
     )
 
 
+def _digit_limit() -> int:
+    """Python's int-to-str digit limit, 0 where there is none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+def test_families_json_writes_a_value_past_the_digit_limit_in_full(capsys):
+    """json.dumps alone cannot write the 6021 digits of (2^20001 + 1) / 3;
+    the JSON output holds them all, and main leaves the limit as it was."""
+    limit = _digit_limit()
+    rc, out, err = run(capsys, "families", "torus:2,20001", "--m", "2", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert _digit_limit() == limit
+    if limit:
+        with pytest.raises(ValueError):
+            json.dumps((2**20001 + 1) // 3)
+        sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["at_m"]["value"] == (2**20001 + 1) // 3
+    assert payload["at_m"]["kl"] == 20001
+
+
 def test_families_needs_specifier(capsys):
     rc, _, err = run(capsys, "families", "3_1")
     assert rc == 1 and "specifier" in err
