@@ -149,15 +149,20 @@ def probable_only(n: int) -> bool:
 
 
 def smallest_prime_factor(n: int) -> int | None:
-    """Smallest prime factor of n >= 2: trial division, then Pollard rho
-    (Brent's cycle finding, one gcd per batch of _RHO_BATCH steps) on n and
-    on every factor it splits off.  The rho steps of the whole call share
-    one budget, weighted by the size of n: a step squares and reduces a
-    number of n's size, at schoolbook cost, so the budget is 2^18 steps up
-    to 128 bits and shrinks with the square of the bit length above that.
-    None when it runs out before n is split into primes."""
+    """Smallest prime factor of n >= 2: trial division, then, for an n that
+    is not prime, the rho search of _rho_smallest_prime_factor.  None when
+    that runs out of budget before n is split into primes."""
     if n < 2:
         raise BoundsError(f"no prime factor of {n}")
+    f = _trial_factor(n)
+    if f is not None:
+        return f
+    return n if _is_prime(n) else _rho_smallest_prime_factor(n)
+
+
+def _trial_factor(n: int) -> int | None:
+    """The smallest prime factor of n >= 2 below 10^6, n itself when n has
+    no factor up to its square root, and None otherwise."""
     for p in (2, 3, 5):
         if n % p == 0:
             return p
@@ -169,20 +174,27 @@ def smallest_prime_factor(n: int) -> int | None:
             return f
         f += inc[i]
         i = (i + 1) % 8
-    if f * f > n:
-        return n
+    return n if f * f > n else None
+
+
+def _rho_smallest_prime_factor(n: int) -> int | None:
+    """Smallest prime factor of a composite n with no factor below 10^6:
+    Pollard rho (Brent's cycle finding, one gcd per batch of _RHO_BATCH
+    steps) on n and on every composite factor it splits off.  The rho steps
+    of the whole call share one budget, weighted by the size of n: a step
+    squares and reduces a number of n's size, at schoolbook cost, so the
+    budget is 2^18 steps up to 128 bits and shrinks with the square of the
+    bit length above that.  None when it runs out before n is split into
+    primes."""
     import random
 
-    # No factor is below f now, so a factor that passes the primality test
+    # No factor is below 10^6, so a factor that passes the primality test
     # is a prime factor, and the smallest of those is the answer.
     budget = (1 << 18) * 128**2 // max(n.bit_length(), 128) ** 2
     primes = []
     todo = [n]
     while todo:
         n = todo.pop()
-        if _is_prime(n):
-            primes.append(n)
-            continue
         rng = random.Random(n)
         d = n
         while d == n:
@@ -190,7 +202,8 @@ def smallest_prime_factor(n: int) -> int | None:
             budget -= steps
             if d is None:
                 return None
-        todo += [d, n // d]
+        for f in (d, n // d):
+            (primes if _is_prime(f) else todo).append(f)
     return min(primes)
 
 
@@ -238,14 +251,15 @@ def _brent(n: int, c: int, y: int, budget: int) -> tuple[int | None, int]:
 
 
 def require_odd_prime(value: int) -> None:
-    """Raise unless value is an odd prime; a composite's error names a
-    factor, or says that smallest_prime_factor found none within its budget."""
+    """Raise unless value is an odd prime; a composite's error names its
+    smallest prime factor, or says that the rho search found none within its
+    budget.  The value is tested for primality once."""
     if value < 2:
         raise BoundsError(f"{value} is not an odd prime")
     if value == 2:
         raise BoundsError("2 is not an odd prime")
     if not _is_prime(value):
-        raise CompositeValueError(value, smallest_prime_factor(value))
+        raise CompositeValueError(value, _trial_factor(value) or _rho_smallest_prime_factor(value))
 
 
 # ---------------------------------------------------------------------------

@@ -13,23 +13,35 @@ mod a prime above twice a Hadamard bound on the collapsed matrix.
 Minimum-color search walks the non-trivial kernel vectors up to the affine
 action  v -> a v + b  (a unit, b anything), which preserves both validity
 and the number of distinct colors.  It visits one vector per affine class,
-a line at a time: the p classes  prefix + c * last,  c = 0..p-1, for the
-last basis vector.  A vector is one int with a field of 8, 16, 32 or 64
-bits per arc, so a step along a line is one packed addition mod p, and the
-colors are counted over its bytes.  Arcs with equal coordinates in last keep
-the differences of their colors along a line, so the largest such group's
+a line at a time: the p classes  x + c * step,  c = 0..p-1, where step is
+the last basis vector and x runs over the prefixes.  A vector is one int
+with a field of 8, 16, 32 or 64 bits per arc, so a step to the next prefix
+is one packed addition mod p.  Arcs with equal coordinates in step keep the
+differences of their colors along a line, so the largest such group's
 number of colors bounds every class on the line from below: the minimum
 search skips a line whose bound reaches the best count so far, and the
 all-distinct search skips a line where a group repeats a color, neither of
-which changes the class found.  A field holds p < 2^63; a search with lines
-at a larger p, at least 2^63 classes, raises ColoringError.  Only the
-returned witness is put in canonical form: first entry 0, first entry
-differing from it 1.
+which changes the class found.
+
+With 8-bit fields (p < 128) the colors of a whole line are counted at once.
+For each coordinate s of step, a pattern of p rows of 2p bits, each padded
+to whole bytes, has bits (c s mod p) and (c s mod p) + p set in row c.  On
+a line with base x, the OR of pattern[s] << a over the pairs (s, a) of step
+coordinate and color of x holds, in bits p..2p-1 of row c, exactly the
+colors of x + c * step: since a < p, one copy of (c s + a) mod p lands there
+and the other lands in bits 0..p-1 of row c, in its padding, or in bits
+0..p-1 of row c + 1, none of which is read.  The patterns take at most
+(distinct s) * 127 * 256 bits per search.  Wider fields count each class
+over its fields, one packed addition apart.
+
+A field holds p < 2^63; a search with lines at a larger p, at least 2^63
+classes, raises ColoringError.  Only the returned witness is put in
+canonical form: first entry 0, first entry differing from it 1.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from math import gcd
 from operator import itemgetter
@@ -223,10 +235,12 @@ def _mod_adder(p: int, q: int, w: int):
 
 
 def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
-    """Yield (number of colors, packed vector) for one vector of each affine
-    class of non-constant colorings, in walk order, leaving out each line
-    that walk_line(lower, upper) turns down (see _walk_lines).  Fields are
-    _field_width(p) bits wide; _witness unpacks the vector kept."""
+    """Yield (counts, x, step) for runs of consecutive affine classes of
+    non-constant colorings, in walk order: counts[c] is the number of colors
+    of the packed vector x + c * step.  Each run is a line of _walk_lines,
+    or part of one, and lines that walk_line(lower, upper) turns down are
+    left out; the last run is the class of rest[-1] alone.  Fields are
+    _field_width(p) bits wide; _witness unpacks the class kept."""
     p = params.n
     basis = kernel_basis(coloring_matrix(d, params))
     if len(basis) < 2:
@@ -246,22 +260,28 @@ def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
                 "packed color fields hold p < 2^63"
             )
         yield from _walk_lines(rest, p, w, walk_line)
-    # The final class is rest[-1] alone.
-    yield len(set(rest[-1])), _pack(rest[-1], w)
+    yield [len(set(rest[-1]))], _pack(rest[-1], w), 0
+
+
+# Classes per run on a line of wide fields, so that the counts held at once
+# stay bounded at any p.
+_RUN = 1024
 
 
 def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
     """The lines of _orbit_walk, on vectors packed w <= 64 bits a field.
     Projective class j has coefficient 1 on rest[j], 0 before it, and every
     coefficient tuple after it in product order, the last one fastest: for
-    each prefix rest[j] + c . rest[j+1:-1] it is the line of p classes
-    prefix + c * rest[-1], c = 0..p-1.
+    each prefix x = rest[j] + c . rest[j+1:-1] it is the line of p classes
+    x + c * rest[-1], c = 0..p-1.
 
     Along a line, arcs with equal coordinates in rest[-1] move by the same
     amount, so each such group keeps its number of distinct colors.  The
     largest is a lower bound on the count of every class on the line, and
     their sum an upper bound; walk_line(lower, upper) says whether to walk
-    the line."""
+    the line.  With 8-bit fields a walked line is counted at once by
+    _line_counts and yielded as one run; wider fields are counted a class
+    at a time, in runs of at most _RUN classes."""
     q = len(rest[-1])
     nbytes = q * w // 8
     fmt = _FIELD_FORMAT[w]
@@ -271,6 +291,9 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
         groups.setdefault(c, []).append(i)
     lone = sum(len(g) == 1 for g in groups.values())
     getters = [itemgetter(*g) for g in groups.values() if len(g) > 1]
+    if w == 8:
+        steps = rest[-1]
+        patterns = _row_patterns(steps, p)
     rest = [_pack(v, w) for v in rest]
     step = rest[-1]
     # Fields are read in native byte order from little-endian bytes; a
@@ -283,11 +306,17 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
             fields = memoryview(x.to_bytes(nbytes, "little")).cast(fmt)
             distinct = [len(set(get(fields))) for get in getters]
             if walk_line(max(distinct, default=1), lone + sum(distinct)):
-                y = x
-                for _ in range(p):
-                    b = y.to_bytes(nbytes, "little")
-                    yield len(set(b if w == 8 else memoryview(b).cast(fmt))), y
-                    y = add(y, step)
+                if w == 8:
+                    yield _line_counts(patterns, set(zip(steps, fields)), p), x, step
+                else:
+                    y = x
+                    for start in range(0, p, _RUN):
+                        run, counts = y, []
+                        for _ in range(min(_RUN, p - start)):
+                            b = memoryview(y.to_bytes(nbytes, "little")).cast(fmt)
+                            counts.append(len(set(b)))
+                            y = add(y, step)
+                        yield counts, run, step
             # The next prefix.  A coefficient that wraps from p - 1 to 0 has
             # had its vector added p times, which is 0 mod p.
             i = len(middle) - 1
@@ -302,10 +331,39 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
                 break
 
 
-def _witness(d: Diagram, params: QuandleParams, x: int) -> Coloring:
-    """The coloring of a packed vector of _orbit_walk, in canonical form."""
-    v = _unpack(x, len(d.arcs), _field_width(params.n))
-    return Coloring(params.n, params.m, dict(zip(d.arcs, _affine_canonical(v, params.n))))
+def _row_patterns(steps: Sequence[int], p: int) -> dict[int, int]:
+    """For each coordinate s of steps, p rows of 2p bits, each padded to
+    whole bytes, row c with bits (c s mod p) and (c s mod p) + p set: a
+    join of p precomputed rows, O(p) steps per pattern."""
+    size = (2 * p + 7) // 8
+    rows = [((1 << r) | (1 << (r + p))).to_bytes(size, "little") for r in range(p)]
+    return {
+        s: int.from_bytes(b"".join([rows[c * s % p] for c in range(p)]), "little")
+        for s in set(steps)
+    }
+
+
+def _line_counts(patterns: dict[int, int], pairs: Iterable[tuple[int, int]], p: int) -> list[int]:
+    """The number of colors of each class x + c * step, c = 0..p-1, of a
+    line, from the distinct (step coordinate, color of x) pairs of its arcs:
+    bits p..2p-1 of row c of the OR of the shifted row patterns (see the
+    module docstring)."""
+    mask = 0
+    for s, a in pairs:
+        mask |= patterns[s] << a
+    stride = (2 * p + 7) // 8 * 8
+    low = (1 << p) - 1
+    return [(mask >> k & low).bit_count() for k in range(p, p * stride, stride)]
+
+
+def _witness(d: Diagram, params: QuandleParams, x: int, step: int, c: int) -> Coloring:
+    """The coloring of the packed class x + c * step of _orbit_walk, in
+    canonical form."""
+    p, q, w = params.n, len(d.arcs), _field_width(params.n)
+    v = _unpack(x, q, w)
+    if c:
+        v = [(a + c * s) % p for a, s in zip(v, _unpack(step, q, w))]
+    return Coloring(p, params.m, dict(zip(d.arcs, _affine_canonical(v, p))))
 
 
 def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Coloring]:
@@ -316,19 +374,20 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
     witness is the canonical form of the first representative attaining the
     minimum.
     """
-    best: tuple[int, int] | None = None
+    best: tuple[int, int, int, int] | None = None
     # A line whose lower bound reaches the best count holds no class with
     # fewer colors, so skipping it keeps the first minimum as the witness.
-    for count, x in _orbit_walk(
+    for counts, x, step in _orbit_walk(
         d, params, lambda lower, upper: best is None or lower < best[0]
     ):
+        count = min(counts)
         if best is None or count < best[0]:
-            best = (count, x)
+            best = (count, x, step, counts.index(count))
     if best is None:
         raise ColoringError(
             f"no non-trivial coloring of {d.name or 'diagram'} for n={params.n}, m={params.m}"
         )
-    count, x = best
+    count, x, step, c = best
     p, m = params.n, params.m
     # Links are left out: a split link has 2-color colorings.
     if d.components == 1 and max(abs(m), abs(m - 1)) >= 2:
@@ -338,7 +397,7 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
                 f"internal inconsistency: {count} colors is below the "
                 f"Kauffman-Lopes bound {kl} for p={p}, m={m}"
             )
-    return count, _witness(d, params, x)
+    return count, _witness(d, params, x, step, c)
 
 
 def coloring_from_anchors(
@@ -427,9 +486,9 @@ def _first_all_distinct(d: Diagram, params: QuandleParams) -> Coloring | None:
     all arcs, in canonical form, or None.  A line on which some group of
     _walk_lines repeats a color holds no such class."""
     q = len(d.arcs)
-    for count, x in _orbit_walk(d, params, lambda lower, upper: upper == q):
-        if count == q:
-            return _witness(d, params, x)
+    for counts, x, step in _orbit_walk(d, params, lambda lower, upper: upper == q):
+        if q in counts:
+            return _witness(d, params, x, step, counts.index(q))
     return None
 
 

@@ -281,6 +281,27 @@ def test_require_odd_prime_names_a_factor():
         require_odd_prime(1)
 
 
+def test_require_odd_prime_tests_a_composite_once(monkeypatch):
+    """Both factors lie past trial division, so the factor comes from rho,
+    which tests the factors it splits off but not the composite again."""
+    n = 1000003 * 1000033
+    tested = []
+    is_prime = bounds._is_prime
+
+    def counting(value):
+        tested.append(value)
+        return is_prime(value)
+
+    monkeypatch.setattr(bounds, "_is_prime", counting)
+    with pytest.raises(CompositeValueError) as exc:
+        require_odd_prime(n)
+    assert tested.count(n) == 1
+    assert str(exc.value) == f"{n} is not an odd prime ({n} = 1000003 * 1000033)"
+    tested.clear()
+    assert smallest_prime_factor(n) == 1000003
+    assert tested.count(n) == 1
+
+
 # -- digits and logs ------------------------------------------------------------
 
 

@@ -37,9 +37,11 @@ from qfox.coloring import (
     _affine_canonical,
     _field_width,
     _first_all_distinct,
+    _line_counts,
     _mod_adder,
     _orbit_walk,
     _pack,
+    _row_patterns,
     _unpack,
 )
 from qfox.sparse import pivot_minor
@@ -518,6 +520,8 @@ def walk_cases(draw):
     return d, params
 
 
+@example((braid_closure([1] * 7 + [2] * 7), QuandleParams(127, -2)))      # the largest 8-bit p
+@example((braid_closure([1] * 5 + [2] * 5), QuandleParams(131, 42)))       # the smallest 16-bit p
 @example((braid_closure([1] * 11 + [2] * 11), QuandleParams(683, 2)))      # 16-bit fields
 @example((braid_closure([1] * 7 + [-2] * 7), QuandleParams(547, 3)))
 @example((braid_closure([1] * 4 + [2] * 4 + [3] * 3), QuandleParams(5, 2)))  # a link
@@ -528,17 +532,53 @@ def test_packed_walk_matches_the_list_walk(case):
 
 
 @pytest.mark.parametrize("ns,p,m", [((3, 3), 7, 3), ((3, 3, 3, 3), 3, 2), ((5, 5, 5), 11, 2),
-                                    ((3, 3, 3, 3, 3), 3, 2), ((4, 4), 5, 2), ((6, 6), 3, -1)])
+                                    ((3, 3, 3, 3, 3), 3, 2), ((4, 4), 5, 2), ((6, 6), 3, -1),
+                                    ((11, 11), 683, 2)])
 def test_walk_visits_the_oracle_classes_in_order(ns, p, m):
     """With no line skipped, the packed walk visits the classes of the list
-    walk, in the same order, with the same color counts."""
+    walk, in the same order, with the same color counts: each run of
+    (counts, x, step) stands for the classes x + c * step, one per count,
+    and every run but the last is a whole line."""
     d = _sum(*ns)
     params = QuandleParams(p, m)
     q, w = len(d.arcs), _field_width(p)
-    walked = [(count, _affine_canonical(_unpack(x, q, w), p))
-              for count, x in _orbit_walk(d, params, lambda lower, upper: True)]
+    runs = list(_orbit_walk(d, params, lambda lower, upper: True))
+    assert all(len(counts) == p for counts, _, _ in runs[:-1]) and len(runs[-1][0]) == 1
+    walked = []
+    for counts, x, step in runs:
+        base, steps = _unpack(x, q, w), _unpack(step, q, w)
+        for c, count in enumerate(counts):
+            v = [(a + c * s) % p for a, s in zip(base, steps)]
+            walked.append((count, _affine_canonical(v, p)))
     want = [(len(set(v)), _affine_canonical(v, p)) for v in orbit_representatives(d, params)]
     assert len(want) > p and walked == want
+
+
+# Every prime with 8-bit fields, the range where lines are counted by bitmasks.
+BITMASK_PRIMES = [q for q in range(3, 128) if smallest_prime_factor(q) == q]
+
+
+@st.composite
+def random_lines(draw):
+    """A prime p < 128 and the step and base colors of up to 40 arcs."""
+    p = draw(st.sampled_from(BITMASK_PRIMES))
+    q = draw(st.integers(1, 40))
+    colors = st.lists(st.integers(0, p - 1), min_size=q, max_size=q)
+    return p, draw(colors), draw(colors)
+
+
+@example((3, [1, 2, 0], [0, 0, 2]))
+@example((127, [0, 1, 126, 63], [0, 126, 0, 64]))
+@example((5, [0, 1, 4], [0, 4, 1]))         # one color at c = 1, three at c = 0
+@settings(max_examples=200, deadline=None)
+@given(random_lines())
+def test_line_counts_match_the_unpacked_classes(line):
+    """The bitmask counts of a line are len(set(...)) of each class
+    x + c * step."""
+    p, steps, base = line
+    counts = _line_counts(_row_patterns(steps, p), set(zip(steps, base)), p)
+    want = [len({(a + c * s) % p for a, s in zip(base, steps)}) for c in range(p)]
+    assert counts == want
 
 
 @pytest.mark.parametrize("word,p,m", [
