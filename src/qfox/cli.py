@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .bounds import (
@@ -448,6 +449,13 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# argparse reads a token that starts with '-' as an option unless it matches
+# its parser's negative-number pattern (the same in Python 3.10 to 3.13).
+# The parsers that take a range of m also read one from a negative m, such as
+# -5..5, as a value.
+_NEGATIVE_OR_RANGE = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+\.\.-?\d+$")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
@@ -474,6 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_alexander)
 
     p = sub.add_parser("bounds", help="lower bounds for minimum colors")
+    p._negative_number_matcher = _NEGATIVE_OR_RANGE
     common(p, fmt=("text", "json", "csv"))
     p.add_argument("--m", type=int, help="evaluation point, p = poly(m) unless --p")
     p.add_argument("--p", type=int, help="odd prime modulus (else derived from --m)")
@@ -506,6 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_families)
 
     p = sub.add_parser("scan", help="prime values of the reduced polynomial")
+    p._negative_number_matcher = _NEGATIVE_OR_RANGE
     common(p, fmt=("text", "json", "csv"))
     p.add_argument("range", metavar="A..B", help="inclusive m range")
     p.set_defaults(fn=cmd_scan)

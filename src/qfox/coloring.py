@@ -30,9 +30,22 @@ a line with base x, the OR of pattern[s] << a over the pairs (s, a) of step
 coordinate and color of x holds, in bits p..2p-1 of row c, exactly the
 colors of x + c * step: since a < p, one copy of (c s + a) mod p lands there
 and the other lands in bits 0..p-1 of row c, in its padding, or in bits
-0..p-1 of row c + 1, none of which is read.  The patterns take at most
-(distinct s) * 127 * 256 bits per search.  Wider fields count each class
-over its fields, one packed addition apart.
+0..p-1 of row c + 1, none of which is read.  The row counts come from a few
+operations on the whole mask.  The patterns take at most
+(distinct s) * 127 * 256 bits per search.  The pairs are ORed in order of
+step coordinate, and after 60% of them the fewest colors in a row of the
+partial mask bound every class of the line from below as well: the minimum
+search skips the rest of a line there when that bound reaches the best
+count.  The partial mask is counted only where it could: with k pairs in
+it, no row has more than k colors, so while the best count exceeds k the
+check is left out.
+
+Wider fields count a line from where arc colors meet.  Two arcs with step
+coordinates s != t and colors a, b in x meet at the one offset
+c = (b - a) / (s - t) mod p, and arcs with equal step coordinates never
+meet.  Grouping the meetings by offset and color gives each class's count,
+and every offset without a meeting has all of the line's colors, so a line
+takes O(q^2) steps for q arcs whatever p is.
 
 A field holds p < 2^63; a search with lines at a larger p, at least 2^63
 classes, raises ColoringError.  Only the returned witness is put in
@@ -41,9 +54,11 @@ canonical form: first entry 0, first entry differing from it 1.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from math import gcd
+from itertools import combinations
+from math import gcd, isqrt
 from operator import itemgetter
 
 from .diagram import Diagram
@@ -192,10 +207,6 @@ def _affine_canonical(v: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple([((x - base) * scale) % p for x in v])
 
 
-# memoryview format of one field of a packed vector, by width in bits.
-_FIELD_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
 def _field_width(p: int) -> int:
     """Bits per field of a packed color vector: the smallest of 8, 16, 32,
     64, 128, ... with p < 2^(w-1)."""
@@ -207,6 +218,8 @@ def _field_width(p: int) -> int:
 
 def _pack(v: Sequence[int], w: int) -> int:
     """One int holding v[i] in bits w*i .. w*i + w - 1."""
+    if w == 8:
+        return int.from_bytes(bytes(v), "little")
     size = w // 8
     return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in v]), "little")
 
@@ -215,6 +228,8 @@ def _unpack(x: int, q: int, w: int) -> list[int]:
     """The q fields of a packed vector."""
     size = w // 8
     b = x.to_bytes(q * size, "little")
+    if w == 8:
+        return list(b)
     return [int.from_bytes(b[i:i + size], "little") for i in range(0, len(b), size)]
 
 
@@ -235,12 +250,16 @@ def _mod_adder(p: int, q: int, w: int):
 
 
 def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
-    """Yield (counts, x, step) for runs of consecutive affine classes of
-    non-constant colorings, in walk order: counts[c] is the number of colors
-    of the packed vector x + c * step.  Each run is a line of _walk_lines,
-    or part of one, and lines that walk_line(lower, upper) turns down are
-    left out; the last run is the class of rest[-1] alone.  Fields are
-    _field_width(p) bits wide; _witness unpacks the class kept."""
+    """Yield (offsets, counts, x, step) for runs of affine classes of
+    non-constant colorings, in walk order: counts[i] is the number of colors
+    of the packed vector x + offsets[i] * step.  Each run is a line of
+    _walk_lines, and lines that walk_line(lower, upper) turns down are left
+    out; the last run is the class of rest[-1] alone.  A class of a line
+    missing from offsets has max(counts) colors and follows a listed class
+    with that many, so the first class of a run with a given count is always
+    listed.  When walk_line takes (lower, upper), it must also take every
+    pair with a lower bound no higher and an upper bound no lower.  Fields
+    are _field_width(p) bits wide; _witness unpacks the class kept."""
     p = params.n
     basis = kernel_basis(coloring_matrix(d, params))
     if len(basis) < 2:
@@ -260,12 +279,7 @@ def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
                 "packed color fields hold p < 2^63"
             )
         yield from _walk_lines(rest, p, w, walk_line)
-    yield [len(set(rest[-1]))], _pack(rest[-1], w), 0
-
-
-# Classes per run on a line of wide fields, so that the counts held at once
-# stay bounded at any p.
-_RUN = 1024
+    yield (0,), [len(set(rest[-1]))], _pack(rest[-1], w), 0
 
 
 def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
@@ -279,44 +293,31 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
     amount, so each such group keeps its number of distinct colors.  The
     largest is a lower bound on the count of every class on the line, and
     their sum an upper bound; walk_line(lower, upper) says whether to walk
-    the line.  With 8-bit fields a walked line is counted at once by
-    _line_counts and yielded as one run; wider fields are counted a class
-    at a time, in runs of at most _RUN classes."""
+    the line.  A walked line is counted by _bitmask_lines with 8-bit fields,
+    which may turn it down on a second bound, and by _meeting_lines with
+    wider ones."""
     q = len(rest[-1])
-    nbytes = q * w // 8
-    fmt = _FIELD_FORMAT[w]
     add = _mod_adder(p, q, w)
     groups: dict[int, list[int]] = {}
     for i, c in enumerate(rest[-1]):
         groups.setdefault(c, []).append(i)
     lone = sum(len(g) == 1 for g in groups.values())
     getters = [itemgetter(*g) for g in groups.values() if len(g) > 1]
-    if w == 8:
-        steps = rest[-1]
-        patterns = _row_patterns(steps, p)
+    count_line = (_bitmask_lines if w == 8 else _meeting_lines)(rest[-1], p)
     rest = [_pack(v, w) for v in rest]
     step = rest[-1]
-    # Fields are read in native byte order from little-endian bytes; a
-    # byte swap within each field would not change any count.
     for j in range(len(rest) - 1):
         middle = rest[j + 1:-1]
         digits = [0] * len(middle)
         x = rest[j]
         while True:
-            fields = memoryview(x.to_bytes(nbytes, "little")).cast(fmt)
+            # The colors of x; the meeting count does arithmetic on them.
+            fields = x.to_bytes(q, "little") if w == 8 else _unpack(x, q, w)
             distinct = [len(set(get(fields))) for get in getters]
             if walk_line(max(distinct, default=1), lone + sum(distinct)):
-                if w == 8:
-                    yield _line_counts(patterns, set(zip(steps, fields)), p), x, step
-                else:
-                    y = x
-                    for start in range(0, p, _RUN):
-                        run, counts = y, []
-                        for _ in range(min(_RUN, p - start)):
-                            b = memoryview(y.to_bytes(nbytes, "little")).cast(fmt)
-                            counts.append(len(set(b)))
-                            y = add(y, step)
-                        yield counts, run, step
+                run = count_line(fields, walk_line)
+                if run is not None:
+                    yield *run, x, step
             # The next prefix.  A coefficient that wraps from p - 1 to 0 has
             # had its vector added p times, which is 0 mod p.
             i = len(middle) - 1
@@ -331,6 +332,63 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
                 break
 
 
+# The share of a line's arcs in the partial mask of _bitmask_lines.
+_PARTIAL = 0.6
+
+
+def _bitmask_lines(steps: Sequence[int], p: int):
+    """For p < 128, a function of the colors of a line's base x and of
+    walk_line that gives (range(p), counts) for the classes x + c * step, or
+    None.  The (step coordinate, color) pairs of the arcs, ordered by step
+    coordinate, are ORed into one mask of shifted row patterns (see the
+    module docstring).  After the first cut of them, a share _PARTIAL of
+    the arcs, the row counts of the partial mask, the least of them and the
+    greatest plus the arcs still to come, bound every class on the line;
+    walk_line(lower, upper) can turn the line down there, before the rest
+    is ORed in.  Each row of the partial mask has between 1 and cut colors,
+    so where walk_line takes (cut, 1 + the arcs to come), no partial count
+    can turn the line down, and none is made."""
+    patterns = _row_patterns(steps, p)
+    row_counts = _row_counter(p)
+    cut = max(1, int(len(steps) * _PARTIAL))
+    rest = len(steps) - cut
+    offsets = range(p)
+    split = None
+
+    def count(fields, walk_line):
+        nonlocal split
+        mask = 0
+        if walk_line(cut, 1 + rest):
+            for s, a in zip(steps, fields):
+                mask |= patterns[s] << a
+            return offsets, list(row_counts(mask))
+        # The arcs in order of step coordinate, split at cut: made on the
+        # first line that needs them, which a search of one line never has.
+        if split is None:
+            order = sorted(range(len(steps)), key=steps.__getitem__)
+            first, second = _getter(order[:cut]), _getter(order[cut:])
+            split = first, first(steps), second, second(steps)
+        first, first_steps, second, second_steps = split
+        for s, a in zip(first_steps, first(fields)):
+            mask |= patterns[s] << a
+        partial = row_counts(mask)
+        if not walk_line(min(partial), max(partial) + rest):
+            return None
+        for s, a in zip(second_steps, second(fields)):
+            mask |= patterns[s] << a
+        return offsets, list(row_counts(mask))
+
+    return count
+
+
+def _getter(indices: list[int]):
+    """itemgetter(*indices), but giving a sequence for any number of
+    indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda v: [v[i] for i in indices]
+
+
 def _row_patterns(steps: Sequence[int], p: int) -> dict[int, int]:
     """For each coordinate s of steps, p rows of 2p bits, each padded to
     whole bytes, row c with bits (c s mod p) and (c s mod p) + p set: a
@@ -343,17 +401,65 @@ def _row_patterns(steps: Sequence[int], p: int) -> dict[int, int]:
     }
 
 
-def _line_counts(patterns: dict[int, int], pairs: Iterable[tuple[int, int]], p: int) -> list[int]:
-    """The number of colors of each class x + c * step, c = 0..p-1, of a
-    line, from the distinct (step coordinate, color of x) pairs of its arcs:
-    bits p..2p-1 of row c of the OR of the shifted row patterns (see the
-    module docstring)."""
-    mask = 0
-    for s, a in pairs:
-        mask |= patterns[s] << a
-    stride = (2 * p + 7) // 8 * 8
-    low = (1 << p) - 1
-    return [(mask >> k & low).bit_count() for k in range(p, p * stride, stride)]
+# The number of set bits of each byte value.
+_POPCOUNT = bytes(bin(b).count("1") for b in range(256))
+
+
+def _row_counter(p: int):
+    """For p < 128, a function giving the bytes of the p counts of a mask
+    of shifted row patterns: the set bits in p..2p-1 of each row.  The
+    other bits are cleared, each byte replaced by its number of set bits,
+    and the bytes of a row summed by one multiplication into the byte that
+    holds that row's bit 2p - 1.  Each byte of the product sums as many
+    consecutive bytes as a row spans, which hold at most the 2p < 256 bits
+    of two rows, so no sum carries."""
+    size = (2 * p + 7) // 8
+    window = int.from_bytes(((1 << 2 * p) - (1 << p)).to_bytes(size, "little") * p, "little")
+    first, last = p // 8, (2 * p - 1) // 8
+    ones = int.from_bytes(b"\1" * (last - first + 1), "little")
+    n = p * size
+
+    def counts(mask: int) -> bytes:
+        bits = int.from_bytes((mask & window).to_bytes(n, "little").translate(_POPCOUNT), "little")
+        return (bits * ones).to_bytes(n + size, "little")[last:n:size]
+
+    return counts
+
+
+def _meeting_lines(steps: Sequence[int], p: int):
+    """A function of the colors of a line's base x (and of walk_line, not
+    used) that gives compact (offsets, counts) for the classes x + c * step.
+    Two arcs with step coordinates s != t and colors a, b take one color at
+    exactly one offset, c = (b - a) / (s - t) mod p; arcs with equal step
+    coordinates never meet unless their colors are equal.  So a class has
+    the line's distinct (s, a) pairs as colors, less k - 1 for each color
+    where k > 1 pairs meet, which shows as k (k - 1) / 2 meetings: every c
+    without a meeting has all the pairs' colors.  The offsets are those
+    with meetings and the first without, in order, so O(q^2) steps count a
+    line at any p."""
+    values = set(steps)
+    inverse = {d: pow(d, -1, p) for d in {t - s for s in values for t in values if s < t}}
+
+    def count(fields, walk_line):
+        pairs = sorted(set(zip(steps, fields)))
+        # Each meeting as c * p + its color; in sorted pairs s <= t.
+        meetings = Counter([
+            (c := (a - b) * inverse[t - s] % p) * p + (a + c * s) % p
+            for (s, a), (t, b) in combinations(pairs, 2) if s != t
+        ])
+        lost: dict[int, int] = {}
+        for key, k in meetings.items():
+            c = key // p
+            lost[c] = lost.get(c, 0) + (isqrt(8 * k + 1) - 1) // 2
+        offsets = sorted(lost)
+        counts = [len(pairs) - lost[c] for c in offsets]
+        free = next((i for i, c in enumerate(offsets) if i != c), len(offsets))
+        if free < p:
+            offsets.insert(free, free)
+            counts.insert(free, len(pairs))
+        return offsets, counts
+
+    return count
 
 
 def _witness(d: Diagram, params: QuandleParams, x: int, step: int, c: int) -> Coloring:
@@ -377,12 +483,12 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
     best: tuple[int, int, int, int] | None = None
     # A line whose lower bound reaches the best count holds no class with
     # fewer colors, so skipping it keeps the first minimum as the witness.
-    for counts, x, step in _orbit_walk(
+    for offsets, counts, x, step in _orbit_walk(
         d, params, lambda lower, upper: best is None or lower < best[0]
     ):
         count = min(counts)
         if best is None or count < best[0]:
-            best = (count, x, step, counts.index(count))
+            best = (count, x, step, offsets[counts.index(count)])
     if best is None:
         raise ColoringError(
             f"no non-trivial coloring of {d.name or 'diagram'} for n={params.n}, m={params.m}"
@@ -486,9 +592,9 @@ def _first_all_distinct(d: Diagram, params: QuandleParams) -> Coloring | None:
     all arcs, in canonical form, or None.  A line on which some group of
     _walk_lines repeats a color holds no such class."""
     q = len(d.arcs)
-    for counts, x, step in _orbit_walk(d, params, lambda lower, upper: upper == q):
+    for offsets, counts, x, step in _orbit_walk(d, params, lambda lower, upper: upper == q):
         if q in counts:
-            return _witness(d, params, x, step, counts.index(q))
+            return _witness(d, params, x, step, offsets[counts.index(q)])
     return None
 
 

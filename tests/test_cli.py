@@ -435,6 +435,48 @@ def test_scan_json_matches_text(capsys):
         assert f"{v}" in out
 
 
+# Prime values of m^2 - m + 1 for m in -5..5.
+TREFOIL_NEGATIVE = [(-5, 31), (-3, 13), (-2, 7), (-1, 3), (2, 3), (3, 7), (4, 13)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "3_1", "-5..5"],
+    ["scan", "3_1", "--", "-5..5"],
+    ["scan", "3_1", "-5..5", "--format", "csv"],
+    ["scan", "3_1", "--format", "csv", "-5..5"],
+])
+def test_scan_range_may_start_at_a_negative_m(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    if "csv" in argv:
+        assert out.splitlines() == ["m,value"] + [f"{m},{v}" for m, v in TREFOIL_NEGATIVE]
+    else:
+        assert [tuple(map(int, line.split())) for line in out.splitlines()[2:]] == TREFOIL_NEGATIVE
+
+
+@pytest.mark.parametrize("argv,hi", [
+    (["bounds", "3_1", "--scan", "-5..5"], 5),
+    (["bounds", "3_1", "--scan=-5..5"], 5),
+    (["bounds", "3_1", "--scan", "-5..-1", "--format", "csv"], -1),
+])
+def test_bounds_scan_may_start_at_a_negative_m(capsys, argv, hi):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    want = [(m, v) for m, v in TREFOIL_NEGATIVE if m <= hi]
+    if "csv" in argv:
+        assert out.splitlines() == ["m,value"] + [f"{m},{v}" for m, v in want]
+    else:
+        assert [tuple(map(int, line.split()[:2])) for line in out.splitlines()[2:]] == want
+
+
+def test_an_unknown_option_is_still_a_usage_error(capsys):
+    for argv in (["scan", "3_1", "-x"], ["bounds", "3_1", "--scan", "-x..5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 # -- error paths and determinism ---------------------------------------------------------
 
 

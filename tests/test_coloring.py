@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,13 +36,13 @@ from qfox import coloring
 from qfox.coloring import (
     ModMatrix,
     _affine_canonical,
+    _bitmask_lines,
     _field_width,
     _first_all_distinct,
-    _line_counts,
+    _meeting_lines,
     _mod_adder,
     _orbit_walk,
     _pack,
-    _row_patterns,
     _unpack,
 )
 from qfox.sparse import pivot_minor
@@ -531,23 +532,36 @@ def test_packed_walk_matches_the_list_walk(case):
     _assert_walk_matches_oracle(*case)
 
 
+def _expand(offsets, counts, classes):
+    """The count of each of the first `classes` classes of a run: a class
+    missing from offsets has max(counts) colors, and comes after a listed
+    class with that many."""
+    top = max(counts)
+    listed = dict(zip(offsets, counts))
+    assert len(listed) == len(offsets) and list(offsets) == sorted(offsets)
+    assert all(c < classes for c in offsets)
+    first_top = min(c for c in offsets if listed[c] == top)
+    assert all(c in listed for c in range(first_top))
+    return [listed.get(c, top) for c in range(classes)]
+
+
 @pytest.mark.parametrize("ns,p,m", [((3, 3), 7, 3), ((3, 3, 3, 3), 3, 2), ((5, 5, 5), 11, 2),
                                     ((3, 3, 3, 3, 3), 3, 2), ((4, 4), 5, 2), ((6, 6), 3, -1),
-                                    ((11, 11), 683, 2)])
+                                    ((11, 11), 683, 2), ((3, 3, 3), 157, 13)])
 def test_walk_visits_the_oracle_classes_in_order(ns, p, m):
     """With no line skipped, the packed walk visits the classes of the list
     walk, in the same order, with the same color counts: each run of
-    (counts, x, step) stands for the classes x + c * step, one per count,
-    and every run but the last is a whole line."""
+    (offsets, counts, x, step) stands for the classes x + c * step, every
+    c = 0..p-1 of a line for each run but the last, which is one class."""
     d = _sum(*ns)
     params = QuandleParams(p, m)
     q, w = len(d.arcs), _field_width(p)
     runs = list(_orbit_walk(d, params, lambda lower, upper: True))
-    assert all(len(counts) == p for counts, _, _ in runs[:-1]) and len(runs[-1][0]) == 1
     walked = []
-    for counts, x, step in runs:
+    for i, (offsets, counts, x, step) in enumerate(runs):
         base, steps = _unpack(x, q, w), _unpack(step, q, w)
-        for c, count in enumerate(counts):
+        classes = p if i < len(runs) - 1 else 1
+        for c, count in enumerate(_expand(offsets, counts, classes)):
             v = [(a + c * s) % p for a, s in zip(base, steps)]
             walked.append((count, _affine_canonical(v, p)))
     want = [(len(set(v)), _affine_canonical(v, p)) for v in orbit_representatives(d, params)]
@@ -576,9 +590,76 @@ def test_line_counts_match_the_unpacked_classes(line):
     """The bitmask counts of a line are len(set(...)) of each class
     x + c * step."""
     p, steps, base = line
-    counts = _line_counts(_row_patterns(steps, p), set(zip(steps, base)), p)
+    offsets, counts = _bitmask_lines(steps, p)(base, lambda lower, upper: True)
     want = [len({(a + c * s) % p for a, s in zip(base, steps)}) for c in range(p)]
-    assert counts == want
+    assert list(offsets) == list(range(p)) and counts == want
+
+
+@example((3, [1, 2, 0], [0, 0, 2], 1, 2))
+@example((5, [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], 3, 10))   # every partial row has cut colors
+@settings(max_examples=200, deadline=None)
+@given(random_lines().flatmap(lambda line: st.tuples(
+    *map(st.just, line), st.integers(0, line[0]), st.integers(0, 2 * len(line[1])))))
+def test_half_line_bounds_hold_on_every_class(case):
+    """_bitmask_lines first asks walk_line whether the most a partial mask
+    of cut arcs could show, (cut, 1 + the arcs to come), would turn the
+    line down.  Only then does it count the partial mask, and those bounds
+    hold on every class of the line and lie within the first ones.  A line
+    turned down gives no run."""
+    p, steps, base, floor, ceiling = case
+    seen = []
+
+    def walk_line(lower, upper):
+        seen.append((lower, upper))
+        return lower < floor or upper >= ceiling
+
+    run = _bitmask_lines(steps, p)(base, walk_line)
+    want = [len({(a + c * s) % p for a, s in zip(base, steps)}) for c in range(p)]
+    probe, *checks = seen
+    cut = max(1, int(len(steps) * coloring._PARTIAL))
+    assert probe == (cut, 1 + len(steps) - cut)
+    assert len(checks) == (0 if walk_line(*probe) else 1)
+    for lower, upper in checks:
+        assert lower <= min(want) and max(want) <= upper
+        assert lower <= probe[0] and upper >= probe[1]
+    if all(walk_line(*bounds) for bounds in checks):
+        assert run[1] == want
+    else:
+        assert run is None
+
+
+# Meeting counts at 16-bit primes and at small ones, where the offsets of a
+# line with meetings cover it.
+MEETING_PRIMES = [3, 5, 7, 11, 43, 131, 257, 683, 2731]
+
+
+@st.composite
+def meeting_lines(draw):
+    """A prime p and the step and base colors of up to 40 arcs, the steps
+    from a few values so that groups and meetings of three or more arcs
+    are common."""
+    p = draw(st.sampled_from(MEETING_PRIMES))
+    q = draw(st.integers(1, 40))
+    values = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
+    steps = draw(st.lists(st.sampled_from(values), min_size=q, max_size=q))
+    colors = st.integers(0, p - 1) if draw(st.booleans()) else st.integers(0, min(3, p - 1))
+    return p, steps, draw(st.lists(colors, min_size=q, max_size=q))
+
+
+@example((131, [0, 1, 2], [0, 130, 129]))            # three arcs meet at one color at c = 1
+@example((683, [0, 1, 2, 3, 1], [0, 682, 681, 680, 682]))  # four at c = 1, with a repeat
+@example((2731, [5, 5, 7], [1, 2, 3]))               # equal steps never meet
+@example((257, [0, 1, 2, 0, 1, 2], [0, 256, 255, 1, 0, 256]))  # two triples at c = 1
+@example((3, [0, 0, 0, 1], [0, 1, 2, 0]))            # every offset has a meeting
+@settings(max_examples=200, deadline=None)
+@given(meeting_lines())
+def test_meeting_counts_match_the_unpacked_classes(line):
+    """The meeting counts of a line, expanded to every c, are len(set(...))
+    of each class x + c * step."""
+    p, steps, base = line
+    offsets, counts = _meeting_lines(steps, p)(base, lambda lower, upper: True)
+    want = [len({(a + c * s) % p for a, s in zip(base, steps)}) for c in range(p)]
+    assert _expand(offsets, counts, p) == want
 
 
 @pytest.mark.parametrize("word,p,m", [
@@ -597,6 +678,68 @@ def test_packed_walk_matches_the_list_walk_on_fixed_cases(word, p, m):
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, -1), (17, 4)])
 def test_packed_walk_matches_the_list_walk_on_l4a1(l4a1, p, m):
     _assert_walk_matches_oracle(l4a1, QuandleParams(p, m))
+
+
+@pytest.mark.parametrize("word,p,m", [
+    ([1] * 7 + [2] * 7 + [3] * 7, 43, 2),                 # 3 x T(2,7)
+    ([1] * 7 + [2] * 7 + [3] * 7 + [4] * 7, 43, 2),       # 4 x T(2,7): 81,400 classes
+    ([1] * 5 + [-2] * 5 + [3] * 5, 11, 2),                # T(2,5) # T(2,-5) # T(2,5)
+])
+def test_half_line_skip_keeps_the_first_minimum(monkeypatch, word, p, m):
+    """Searches where _bitmask_lines turns lines down half-way through
+    their masks still find the oracle's first minimum."""
+    turned_down = 0
+    real = coloring._bitmask_lines
+
+    def counting(steps, p):
+        count = real(steps, p)
+
+        def count_and_note(fields, walk_line):
+            nonlocal turned_down
+            run = count(fields, walk_line)
+            turned_down += run is None
+            return run
+
+        return count_and_note
+
+    monkeypatch.setattr(coloring, "_bitmask_lines", counting)
+    d, params = braid_closure(word), QuandleParams(p, m)
+    count, witness = min_colors_on_diagram(d, params)
+    assert turned_down > 0
+    assert (count, tuple(witness.colors[a] for a in d.arcs)) == first_minimum(d, params)
+
+
+def test_a_wide_field_line_is_counted_from_its_meetings():
+    """2 x T(2,7) at m = 10 has kernel dimension 3 at p = 909,091: one line
+    of p classes, counted from where arc colors meet, not class by class."""
+    d, params = _sum(7, 7), QuandleParams(909091, 10)
+    assert len(kernel_basis(coloring_matrix(d, params))) == 3
+    start = time.process_time()
+    count, witness = min_colors_on_diagram(d, params)
+    assert time.process_time() - start < 0.5
+    assert count == 7 == witness.distinct
+    assert verify_coloring(d, witness) and collapse_and_check(d, witness).ok
+
+
+def test_the_minimum_is_read_at_its_offset(monkeypatch):
+    """min_colors_on_diagram takes the class at the offset of a run's first
+    minimal count, not at its index among the counts.  The one line of
+    2 x T(2,11) at p = 683, started two classes later, has its first
+    minimum at c = 272, the 40th offset with a meeting."""
+    d, params = _sum(11, 11), QuandleParams(683, 2)
+    p, q, w = 683, len(d.arcs), _field_width(683)
+    rest = kernel_basis(coloring_matrix(d, params))[1:]
+    steps = rest[-1]
+    base = [(a + 2 * s) % p for a, s in zip(rest[0], steps)]
+    offsets, counts = _meeting_lines(steps, p)(base, lambda lower, upper: True)
+    every = _expand(offsets, counts, p)
+    c = every.index(min(every))
+    assert (c, offsets.index(c)) == (272, 39)
+    run = (offsets, counts, _pack(base, w), _pack(steps, w))
+    monkeypatch.setattr(coloring, "_orbit_walk", lambda d, params, walk_line: iter([run]))
+    count, witness = min_colors_on_diagram(d, params)
+    v = [(a + c * s) % p for a, s in zip(base, steps)]
+    assert count == min(every) and tuple(witness.colors[a] for a in d.arcs) == _affine_canonical(v, p)
 
 
 def test_kh_witness_is_the_first_all_distinct_class():
