@@ -89,7 +89,14 @@ def _jacobi(a: int, n: int) -> int:
 
 def _strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test of odd n > 1 with Selfridge's parameters: D is the
-    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4."""
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
+
+    With n + 1 = k 2^s, k odd, n passes when U_k = 0 or V_(k 2^r) = 0 for
+    some 0 <= r < s (mod n).  The ladder carries V_j, V_(j+1) and Q^j only:
+    D U_k = 2 V_(k+1) - P V_k, and (D/n) = -1 makes D a unit mod n, so
+    U_k = 0 exactly when 2 V_(k+1) = V_k.  The test so decides what the
+    chain of U and V decides, and is the strong Lucas test of Baillie-PSW
+    with its proof below 2^64."""
     if isqrt(n) ** 2 == n:
         return False        # no D would have (D/n) = -1
     d = 5
@@ -101,18 +108,17 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False    # gcd(D, n) is a proper factor
         d = -d - 2 if d > 0 else -d + 2
     q = (1 - d) // 4
-    # n + 1 = k * 2^s with k odd; U_k, V_k and Q^k by the doubling formulas
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     k = (n + 1) >> s
-    u, v, qk = 1, 1, q % n
+    # From j = 1 up the bits of k: V_2j = V_j^2 - 2 Q^j,
+    # V_(2j+1) = V_j V_(j+1) - P Q^j and V_(2j+2) = V_(j+1)^2 - 2 Q^(j+1).
+    v, v1, qk = 1, (1 - 2 * q) % n, q % n
     for bit in bin(k)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
         if bit == "1":
-            u, v = (u + v) % n, (d * u + v) % n
-            u = (u + n if u & 1 else u) >> 1
-            v = (v + n if v & 1 else v) >> 1
-            qk = qk * q % n
-    if u == 0 or v == 0:
+            v, v1, qk = (v * v1 - qk) % n, (v1 * v1 - 2 * qk * q) % n, qk * qk * q % n
+        else:
+            v, v1, qk = (v * v - 2 * qk) % n, (v * v1 - qk) % n, qk * qk % n
+    if (2 * v1 - v) % n == 0 or v == 0:
         return True
     for _ in range(s - 1):
         v, qk = (v * v - 2 * qk) % n, qk * qk % n

@@ -23,6 +23,15 @@ search skips a line whose bound reaches the best count so far, and the
 all-distinct search skips a line where a group repeats a color, neither of
 which changes the class found.
 
+The prefixes come in runs of p, x + c * inner with inner the last prefix
+vector, and across a run each group moves along a line of its own.  So one
+count per group, made as a line is counted below, bounds all p prefixes of
+a run at once: a run whose weakest bounds are turned down is skipped whole,
+and only the prefixes still taken are stepped to.  No group is counted
+where the most a group count could show, the largest group's size, would
+not turn a line down, and the first p prefixes that need bounds, which
+cost about as much as building the run counter, take one set per group.
+
 With 8-bit fields (p < 128) the colors of a whole line are counted at once.
 For each coordinate s of step, a pattern of p rows of 2p bits, each padded
 to whole bytes, has bits (c s mod p) and (c s mod p) + p set in row c.  On
@@ -164,15 +173,22 @@ def _require_prime_modulus(p: int) -> None:
 
 
 def _back_substitute(
-    pivots: list[tuple[int, int]], reduced: list[dict[int, int]], values: dict[int, int], p: int
-) -> dict[int, int]:
-    """Extend `values`, given on non-pivot columns (absent means 0), to the
-    pivot columns of an echelon form so that every reduced row vanishes."""
+    pivots: list[tuple[int, int]], reduced: list[dict[int, int]], known: dict[int, list[int]], p: int
+) -> dict[int, list[int]]:
+    """Extend k vectors, given column by column in `known` on non-pivot
+    columns (an absent column is 0 in all of them), to the pivot columns of
+    an echelon form so that every reduced row vanishes on each.  All k are
+    solved in one pass, so each pivot is inverted once."""
+    zero = [0] * len(next(iter(known.values())))
     for (_, j), row in zip(reversed(pivots), reversed(reduced)):
-        # values has no entry at j yet, so the sum runs over the rest of the row.
-        s = sum([x * values.get(jj, 0) for jj, x in row.items()])
-        values[j] = -s * pow(row[j], -1, p) % p
-    return values
+        # known has no entry at j yet, and a row's other columns come after j.
+        acc = zero
+        for jj, x in row.items():
+            if jj != j:
+                acc = [a + x * v for a, v in zip(acc, known.get(jj, zero))]
+        scale = -pow(row[j], -1, p)
+        known[j] = [a * scale % p for a in acc]
+    return known
 
 
 def kernel_basis(mat: ModMatrix) -> list[tuple[int, ...]]:
@@ -183,12 +199,12 @@ def kernel_basis(mat: ModMatrix) -> list[tuple[int, ...]]:
     pivots, reduced, _ = echelon(mat.rows, p)
     ncols = len(mat.arc_labels)
     pivot_cols = {j for _, j in pivots}
-    basis = []
-    for f in range(ncols):
-        if f not in pivot_cols:
-            v = _back_substitute(pivots, reduced, {f: 1}, p)
-            basis.append(tuple([v.get(j, 0) for j in range(ncols)]))
-    return basis
+    free = [f for f in range(ncols) if f not in pivot_cols]
+    if not free:
+        return []
+    known = {f: [int(i == k) for i in range(len(free))] for k, f in enumerate(free)}
+    columns = _back_substitute(pivots, reduced, known, p)
+    return list(zip(*[columns[j] for j in range(ncols)]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +274,10 @@ def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
     missing from offsets has max(counts) colors and follows a listed class
     with that many, so the first class of a run with a given count is always
     listed.  When walk_line takes (lower, upper), it must also take every
-    pair with a lower bound no higher and an upper bound no lower.  Fields
-    are _field_width(p) bits wide; _witness unpacks the class kept."""
+    pair with a lower bound no higher and an upper bound no lower, and a
+    pair it turns down must stay turned down for the rest of the walk: one
+    answer can skip a whole run of lines.  Fields are _field_width(p) bits
+    wide; _witness unpacks the class kept."""
     p = params.n
     basis = kernel_basis(coloring_matrix(d, params))
     if len(basis) < 2:
@@ -295,34 +313,85 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
     their sum an upper bound; walk_line(lower, upper) says whether to walk
     the line.  A walked line is counted by _bitmask_lines with 8-bit fields,
     which may turn it down on a second bound, and by _meeting_lines with
-    wider ones."""
+    wider ones.
+
+    The prefixes come in runs of p, base + c * inner for c = 0..p-1, where
+    inner = rest[-2] is the innermost prefix vector, and each group moves
+    along a line of its own across a run.  So one count per group
+    (_group_runs) gives the group bounds of every prefix of a run at once;
+    where walk_line turns down the run's weakest pair, the whole run is
+    skipped, and otherwise only the prefixes whose bounds it still takes
+    are stepped to.  Before any group is counted, walk_line is asked about
+    the strongest pair a count could give, (largest group, lone arcs +
+    groups): where it takes that, it takes every prefix's bounds, and none
+    is counted.  Building the run counter costs about p prefix bounds, so
+    runs are bounded a prefix at a time, with one set per group, until p
+    prefixes have been, and so is the lone last prefix."""
     q = len(rest[-1])
     add = _mod_adder(p, q, w)
     groups: dict[int, list[int]] = {}
     for i, c in enumerate(rest[-1]):
         groups.setdefault(c, []).append(i)
-    lone = sum(len(g) == 1 for g in groups.values())
-    getters = [itemgetter(*g) for g in groups.values() if len(g) > 1]
+    shared = [g for g in groups.values() if len(g) > 1]
+    getters = [itemgetter(*g) for g in shared]
+    lone = q - sum(map(len, shared))
+    probe = (max(map(len, shared), default=1), lone + len(shared))
     count_line = (_bitmask_lines if w == 8 else _meeting_lines)(rest[-1], p)
-    rest = [_pack(v, w) for v in rest]
-    step = rest[-1]
-    for j in range(len(rest) - 1):
-        middle = rest[j + 1:-1]
-        digits = [0] * len(middle)
-        x = rest[j]
+    group_runs = None
+    bounded = 0         # prefixes bounded one at a time
+
+    def read(x: int):
+        # The colors of x; the meeting count does arithmetic on them.
+        return x.to_bytes(q, "little") if w == 8 else _unpack(x, q, w)
+
+    packed = [_pack(v, w) for v in rest]
+    step, inner = packed[-1], packed[-2]
+    for j in range(len(packed) - 1):
+        # The bases of the runs step through the other digits of the prefix;
+        # the last prefix of all, rest[-2] itself, is a run of one.
+        outer = packed[j + 1:-2]
+        size = p if j < len(packed) - 2 else 1
+        digits = [0] * len(outer)
+        base = packed[j]
         while True:
-            # The colors of x; the meeting count does arithmetic on them.
-            fields = x.to_bytes(q, "little") if w == 8 else _unpack(x, q, w)
-            distinct = [len(set(get(fields))) for get in getters]
-            if walk_line(max(distinct, default=1), lone + sum(distinct)):
+            lowers = one_by_one = None
+            x, at = base, 0     # the prefix stepped to last, base + at * inner
+            for c in range(size):
+                by_sets = False
+                if lowers is None and not walk_line(*probe):
+                    if not shared:
+                        break       # the probe is every prefix's bounds
+                    if one_by_one is None:
+                        one_by_one = bounded < p or size == 1
+                    if one_by_one:
+                        bounded += 1
+                        by_sets = True
+                    else:
+                        if group_runs is None:
+                            group_runs = _group_runs(shared, rest[-2], p, w)
+                        per_group = group_runs(read(base))
+                        if not walk_line(max(map(min, per_group)), lone + sum(map(max, per_group))):
+                            break
+                        lowers = [max(t) for t in zip(*per_group)]
+                        uppers = [lone + sum(t) for t in zip(*per_group)]
+                if lowers is not None and not walk_line(lowers[c], uppers[c]):
+                    continue
+                while at < c:
+                    x = add(x, inner)
+                    at += 1
+                fields = read(x)
+                if by_sets:
+                    distinct = [len(set(get(fields))) for get in getters]
+                    if not walk_line(max(distinct), lone + sum(distinct)):
+                        continue
                 run = count_line(fields, walk_line)
                 if run is not None:
                     yield *run, x, step
-            # The next prefix.  A coefficient that wraps from p - 1 to 0 has
+            # The next base.  A coefficient that wraps from p - 1 to 0 has
             # had its vector added p times, which is 0 mod p.
-            i = len(middle) - 1
+            i = len(outer) - 1
             while i >= 0:
-                x = add(x, middle[i])
+                base = add(base, outer[i])
                 digits[i] += 1
                 if digits[i] < p:
                     break
@@ -330,6 +399,49 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
                 i -= 1
             if i < 0:
                 break
+
+
+def _group_runs(groups: list[list[int]], inner: Sequence[int], p: int, w: int):
+    """For groups of arcs and the innermost prefix vector of _walk_lines, a
+    function of the colors of a run's base x that gives, for each group,
+    the number of colors of the group in x + c * inner for c = 0..p-1.  A
+    group moves along a line of its own, so it is counted as a line is.
+    With 8-bit fields all groups share one mask of row patterns, group k in
+    rows k p .. k p + p - 1: the copy that a row's pattern shifts past its
+    read bits lands in bits 0..p-1 of the next row, which are not read.
+    With wider fields each group is counted from its meetings."""
+    if w == 8:
+        arcs = [i for g in groups for i in g]
+        patterns = _row_patterns([inner[i] for i in arcs], p)
+        block = p * ((2 * p + 7) // 8) * 8
+        shifted = [patterns[inner[i]] << k * block for k, g in enumerate(groups) for i in g]
+        colors = _getter(arcs)
+        row_counts = _row_counter(p, p * len(groups))
+        starts = range(0, p * len(groups), p)
+
+        def count(fields) -> list[bytes]:
+            mask = 0
+            for pattern, a in zip(shifted, colors(fields)):
+                mask |= pattern << a
+            counts = row_counts(mask)
+            return [counts[k:k + p] for k in starts]
+
+        return count
+
+    parts = [(get, _meeting_lines(get(inner), p)) for get in map(_getter, groups)]
+
+    def count(fields) -> list[list[int]]:
+        runs = []
+        for get, count_group in parts:
+            # The meeting count takes no walk_line.
+            offsets, counts = count_group(get(fields), None)
+            full = [max(counts)] * p
+            for c, k in zip(offsets, counts):
+                full[c] = k
+            runs.append(full)
+        return runs
+
+    return count
 
 
 # The share of a line's arcs in the partial mask of _bitmask_lines.
@@ -349,7 +461,7 @@ def _bitmask_lines(steps: Sequence[int], p: int):
     so where walk_line takes (cut, 1 + the arcs to come), no partial count
     can turn the line down, and none is made."""
     patterns = _row_patterns(steps, p)
-    row_counts = _row_counter(p)
+    row_counts = _row_counter(p, p)
     cut = max(1, int(len(steps) * _PARTIAL))
     rest = len(steps) - cut
     offsets = range(p)
@@ -405,19 +517,19 @@ def _row_patterns(steps: Sequence[int], p: int) -> dict[int, int]:
 _POPCOUNT = bytes(bin(b).count("1") for b in range(256))
 
 
-def _row_counter(p: int):
-    """For p < 128, a function giving the bytes of the p counts of a mask
-    of shifted row patterns: the set bits in p..2p-1 of each row.  The
+def _row_counter(p: int, rows: int):
+    """For p < 128, a function giving the bytes of the counts of a mask of
+    `rows` shifted row patterns: the set bits in p..2p-1 of each row.  The
     other bits are cleared, each byte replaced by its number of set bits,
     and the bytes of a row summed by one multiplication into the byte that
     holds that row's bit 2p - 1.  Each byte of the product sums as many
     consecutive bytes as a row spans, which hold at most the 2p < 256 bits
     of two rows, so no sum carries."""
     size = (2 * p + 7) // 8
-    window = int.from_bytes(((1 << 2 * p) - (1 << p)).to_bytes(size, "little") * p, "little")
+    window = int.from_bytes(((1 << 2 * p) - (1 << p)).to_bytes(size, "little") * rows, "little")
     first, last = p // 8, (2 * p - 1) // 8
     ones = int.from_bytes(b"\1" * (last - first + 1), "little")
-    n = p * size
+    n = rows * size
 
     def counts(mask: int) -> bytes:
         bits = int.from_bytes((mask & window).to_bytes(n, "little").translate(_POPCOUNT), "little")
@@ -534,8 +646,8 @@ def coloring_from_anchors(
         raise ColoringError(f"anchors leave {q - len(pivots)} kernel degrees of freedom")
     # Every column below q is a pivot: solve with -1 in column q, so each
     # row reads (its left side) . v = (its right-hand side).
-    v = _back_substitute(pivots, reduced, {q: -1}, p)
-    return Coloring(params.n, params.m, {arc: v[i] for i, arc in enumerate(d.arcs)})
+    v = _back_substitute(pivots, reduced, {q: [-1]}, p)
+    return Coloring(params.n, params.m, {arc: v[i][0] for i, arc in enumerate(d.arcs)})
 
 
 def verify_coloring(d: Diagram, coloring: Coloring) -> bool:

@@ -31,13 +31,17 @@ scans one m at a time, LaurentPoly.evaluate and then is_odd_prime on every
 value, against the block sieve of qfox.bounds.prime_scan.  hironaka_quotient
 is the rational form of the pretzel polynomial, an exact division by
 (1+t)^3, against the closed form of qfox.families.pretzel_alexander.
+strong_lucas_uv is the strong Lucas test on the chain of U and V, against
+the V-only ladder of qfox.bounds.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from qfox.bounds import is_odd_prime
+from math import isqrt
+
+from qfox.bounds import _jacobi, is_odd_prime
 from qfox.coloring import (
     Coloring,
     ModMatrix,
@@ -462,6 +466,40 @@ def prime_scan_reference(poly: LaurentPoly, m_from: int, m_to: int) -> list[tupl
     testing each value."""
     values = [(m, poly.evaluate(m)) for m in range(m_from, m_to + 1)]
     return [(m, v) for m, v in values if is_odd_prime(v)]
+
+
+def strong_lucas_uv(n: int) -> bool:
+    """Strong Lucas test of odd n > 1 with Selfridge's parameters, on the
+    chain of U_k, V_k and Q^k by the doubling formulas, with a halving for
+    each 1 bit of k where n + 1 = k 2^s."""
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0 and abs(d) != n:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    k = (n + 1) >> s
+    u, v, qk = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (d * u + v) % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def hironaka_quotient(p: int, q: int) -> LaurentPoly:

@@ -35,7 +35,7 @@ from qfox.bounds import (
     profile,
 )
 from qfox.laurent import LaurentPoly, alexander_matrix, first_minor, reduce_normalize
-from oracles import base_m_digits, prime_scan_reference
+from oracles import base_m_digits, prime_scan_reference, strong_lucas_uv
 
 TREFOIL_POLY = parse_poly("1 - t + t^2")
 P73 = parse_poly("2 - 3t + 3t^2 - 3t^3 + 2t^4")
@@ -69,6 +69,29 @@ def test_small_primes_and_composites():
         assert not is_odd_prime(n)
     for n in SLPSP:
         assert _strong_lucas_probable_prime(n)
+
+
+@example(2**61 - 1)
+@example(2**89 - 1)                     # prime, 89 bits
+@example(2**107 - 1)                    # prime, 107 bits
+@example(PSI[12])
+@example(PSI[11])
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(3, 2**64), st.integers(2**94, 2**95)).map(lambda n: n | 1))
+def test_v_only_lucas_ladder_matches_the_u_v_chain(n):
+    """The V-only strong Lucas test decides what the chain of U and V
+    decides, on odd n below 2^64 and of 95 bits."""
+    assert _strong_lucas_probable_prime(n) == strong_lucas_uv(n)
+
+
+def test_v_only_lucas_ladder_passes_the_strong_lucas_pseudoprimes():
+    rng = random.Random(7)
+    primes = [n for n in (rng.randrange(2**94, 2**95) | 1 for _ in range(400)) if is_odd_prime(n)]
+    assert len(primes) > 3
+    for n in (*SLPSP, *primes, 2**89 - 1, 2**127 - 1):
+        assert _strong_lucas_probable_prime(n) and strong_lucas_uv(n)
+    for n in (*SPSP2, *PSI[:12], 2**67 - 1):
+        assert _strong_lucas_probable_prime(n) == strong_lucas_uv(n)
 
 
 def test_large_prime_deterministic_range():

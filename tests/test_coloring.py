@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,6 +40,7 @@ from qfox.coloring import (
     _bitmask_lines,
     _field_width,
     _first_all_distinct,
+    _group_runs,
     _meeting_lines,
     _mod_adder,
     _orbit_walk,
@@ -707,6 +709,155 @@ def test_half_line_skip_keeps_the_first_minimum(monkeypatch, word, p, m):
     count, witness = min_colors_on_diagram(d, params)
     assert turned_down > 0
     assert (count, tuple(witness.colors[a] for a in d.arcs)) == first_minimum(d, params)
+
+
+@st.composite
+def group_runs_cases(draw):
+    """A field width, a prime p, up to 40 arcs split into groups by label,
+    and their inner and base colors, the inner ones often from a few
+    values."""
+    w = draw(st.sampled_from([8, 16]))
+    p = draw(st.sampled_from(BITMASK_PRIMES if w == 8 else MEETING_PRIMES))
+    q = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.integers(0, 4), min_size=q, max_size=q))
+    groups = [[i for i in range(q) if labels[i] == g] for g in sorted(set(labels))]
+    values = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
+    inner = draw(st.lists(st.sampled_from(values) if draw(st.booleans()) else st.integers(0, p - 1),
+                          min_size=q, max_size=q))
+    base = draw(st.lists(st.integers(0, p - 1), min_size=q, max_size=q))
+    return w, p, groups, inner, base
+
+
+@example((8, 3, [[0, 1, 2]], [0, 1, 2], [0, 0, 0]))          # 1, 3, 3 colors
+@example((8, 127, [[0, 2], [1, 3]], [0, 126, 1, 1], [5, 5, 126, 0]))
+@example((16, 131, [[0, 1, 2]], [0, 1, 2], [0, 130, 129]))   # three meet at c = 1
+@example((16, 3, [[0, 1], [2, 3, 4]], [0, 0, 1, 2, 0], [1, 2, 0, 0, 0]))
+@settings(max_examples=200, deadline=None)
+@given(group_runs_cases())
+def test_group_run_counts_match_the_unpacked_prefixes(case):
+    """Each group's run counts are len(set(...)) of the group's colors at
+    every prefix x + c * inner, c = 0..p-1, with one shared mask of row
+    patterns at 8-bit fields and meeting counts at wider ones."""
+    w, p, groups, inner, base = case
+    fields = bytes(base) if w == 8 else base
+    runs = _group_runs(groups, inner, p, w)(fields)
+    assert len(runs) == len(groups)
+    for group, counts in zip(groups, runs):
+        want = [len({(base[i] + c * inner[i]) % p for i in group}) for c in range(p)]
+        assert list(counts) == want
+
+
+def _prefix_walk(rest, p, w, walk_line):
+    """The lines of _walk_lines from a plain walk over the prefixes, in
+    order, each bounded by one set per step group and then counted by the
+    same line counter: what the walk yields with no run bounds."""
+    groups = {}
+    for i, s in enumerate(rest[-1]):
+        groups.setdefault(s, []).append(i)
+    shared = [g for g in groups.values() if len(g) > 1]
+    lone = len(groups) - len(shared)
+    count_line = (_bitmask_lines if w == 8 else _meeting_lines)(rest[-1], p)
+    step = _pack(rest[-1], w)
+    for j in range(len(rest) - 1):
+        middle = rest[j + 1:-1]
+        for coefficients in product(range(p), repeat=len(middle)):
+            x = list(rest[j])
+            for c, v in zip(coefficients, middle):
+                x = [(a + c * s) % p for a, s in zip(x, v)]
+            distinct = [len({x[i] for i in g}) for g in shared]
+            if walk_line(max(distinct, default=1), lone + sum(distinct)):
+                run = count_line(bytes(x) if w == 8 else x, walk_line)
+                if run is not None:
+                    yield *run, _pack(x, w), step
+
+
+# Kernel dimension 5 and 6, where runs are bounded at once after the first p
+# prefixes that need bounds.
+RUN_CASES = [((3, 3, 3, 3), 3, 2), ((3, 3, 3, 3, 3), 3, 2), ((5, 5, 5, 5), 11, 2), ((3, 3, 3, 3), 13, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RUN_CASES), st.integers(1, 16), st.integers(1, 21))
+def test_run_bounds_yield_what_prefix_bounds_yield(case, floor, ceiling):
+    """With walk_line(lower, upper) = lower < floor or upper >= ceiling,
+    the walk yields exactly the lines of a walk that bounds each prefix
+    on its own: the run bounds, the probe and the skipped runs change
+    which prefixes are looked at, never which lines are counted."""
+    ns, p, m = case
+    rest = kernel_basis(coloring_matrix(_sum(*ns), QuandleParams(p, m)))[1:]
+
+    def walk_line(lower, upper):
+        return lower < floor or upper >= ceiling
+
+    assert list(coloring._walk_lines(rest, p, 8, walk_line)) == list(_prefix_walk(rest, p, 8, walk_line))
+
+
+@pytest.mark.parametrize("floor,ceiling", [(2, 13), (3, 13), (4, 12)])
+def test_wide_field_run_bounds_yield_what_prefix_bounds_yield(floor, ceiling):
+    """The same at 16-bit fields, on 4 x T(2,3) at (157, 13): 24,807
+    lines, whose runs are bounded from their groups' meetings."""
+    rest = kernel_basis(coloring_matrix(_sum(3, 3, 3, 3), QuandleParams(157, 13)))[1:]
+
+    def walk_line(lower, upper):
+        return lower < floor or upper >= ceiling
+
+    assert list(coloring._walk_lines(rest, 157, 16, walk_line)) == list(_prefix_walk(rest, 157, 16, walk_line))
+
+
+def _count_runs_and_lines(monkeypatch):
+    """Monkeypatch the run counter and both line counters to count their
+    calls into the returned dict."""
+    calls = {"runs": 0, "lines": 0}
+
+    def counting(name, real):
+        def make(*args):
+            count = real(*args)
+
+            def count_and_note(*call):
+                calls[name] += 1
+                return count(*call)
+
+            return count_and_note
+
+        return make
+
+    monkeypatch.setattr(coloring, "_group_runs", counting("runs", coloring._group_runs))
+    monkeypatch.setattr(coloring, "_bitmask_lines", counting("lines", coloring._bitmask_lines))
+    monkeypatch.setattr(coloring, "_meeting_lines", counting("lines", coloring._meeting_lines))
+    return calls
+
+
+@pytest.mark.parametrize("word,p,m,by_runs", [
+    ([1] * 5 + [2] * 5 + [3] * 5 + [4] * 5 + [5] * 5, 11, 2, True),  # 5 x T(2,5): 1,464 lines
+    ([1] * 5 + [2] * 5 + [3] * 5 + [4] * 5, 11, 2, True),            # 4 x T(2,5): 133 lines
+    # Kernel dimension 4: one run, bounded a prefix at a time.
+    ([1] * 5 + [-2] * 5 + [3] * 5, 11, 2, False),                    # T(2,5) # T(2,-5) # T(2,5)
+    ([1] * 11 + [2] * 11 + [3] * 11, 683, 2, False),                 # 3 x T(2,11): 16-bit fields
+])
+def test_run_bounds_keep_the_first_minimum(monkeypatch, word, p, m, by_runs):
+    """Searches where whole runs of p prefixes are bounded at once still
+    find the oracle's first minimum.  A counted run whose p prefixes were
+    not all counted as lines had some dropped by its bounds, so fewer lines
+    than p per counted run means that some were."""
+    calls = _count_runs_and_lines(monkeypatch)
+    d, params = braid_closure(word), QuandleParams(p, m)
+    count, witness = min_colors_on_diagram(d, params)
+    assert (count, tuple(witness.colors[a] for a in d.arcs)) == first_minimum(d, params)
+    if by_runs:
+        assert 0 < calls["lines"] < p * calls["runs"]
+
+
+def test_all_distinct_search_matches_the_oracle_past_dimension_three(monkeypatch):
+    """The all-distinct search bounds runs by their groups' upper bounds:
+    on 4 x T(2,3) at (13, 4), kernel dimension 5, and on 5 x T(2,5) at
+    (11, 2), dimension 6, it agrees with the oracle, and counts runs."""
+    calls = _count_runs_and_lines(monkeypatch)
+    for d, params in [(_sum(3, 3, 3, 3), QuandleParams(13, 4)), (_sum(5, 5, 5, 5, 5), QuandleParams(11, 2))]:
+        assert len(kernel_basis(coloring_matrix(d, params))) >= 5
+        found = _first_all_distinct(d, params)
+        got = None if found is None else tuple(found.colors[a] for a in d.arcs)
+        assert got == first_all_distinct(d, params)
+    assert calls["runs"] > 0
 
 
 def test_a_wide_field_line_is_counted_from_its_meetings():
