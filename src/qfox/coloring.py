@@ -14,14 +14,14 @@ Minimum-color search walks the non-trivial kernel vectors up to the affine
 action  v -> a v + b  (a unit, b anything), which preserves both validity
 and the number of distinct colors.  It visits one vector per affine class,
 a line at a time: the p classes  x + c * step,  c = 0..p-1, where step is
-the last basis vector and x runs over the prefixes.  A vector is one int
-with a field of 8, 16, 32 or 64 bits per arc, so a step to the next prefix
-is one packed addition mod p.  Arcs with equal coordinates in step keep the
-differences of their colors along a line, so the largest such group's
-number of colors bounds every class on the line from below: the minimum
-search skips a line whose bound reaches the best count so far, and the
-all-distinct search skips a line where a group repeats a color, neither of
-which changes the class found.
+the last basis vector and x runs over the prefixes.  For p < 128 a prefix
+is one int with a byte per arc, so a step to the next is one packed
+addition mod p; at larger p it is a plain list of colors.  Arcs with
+equal coordinates in step keep the differences of their colors along a
+line, so the largest such group's number of colors bounds every class on
+the line from below: the minimum search skips a line whose bound reaches
+the best count so far, and the all-distinct search skips a line where a
+group repeats a color, neither of which changes the class found.
 
 The prefixes come in runs of p, x + c * inner with inner the last prefix
 vector, and across a run each group moves along a line of its own.  So one
@@ -32,7 +32,7 @@ where the most a group count could show, the largest group's size, would
 not turn a line down, and the first p prefixes that need bounds, which
 cost about as much as building the run counter, take one set per group.
 
-With 8-bit fields (p < 128) the colors of a whole line are counted at once.
+For p < 128 the colors of a whole line are counted at once.
 For each coordinate s of step, a pattern of p rows of 2p bits, each padded
 to whole bytes, has bits (c s mod p) and (c s mod p) + p set in row c.  On
 a line with base x, the OR of pattern[s] << a over the pairs (s, a) of step
@@ -49,15 +49,15 @@ count.  The partial mask is counted only where it could: with k pairs in
 it, no row has more than k colors, so while the best count exceeds k the
 check is left out.
 
-Wider fields count a line from where arc colors meet.  Two arcs with step
+At larger p a line is counted from where arc colors meet.  Two arcs with step
 coordinates s != t and colors a, b in x meet at the one offset
 c = (b - a) / (s - t) mod p, and arcs with equal step coordinates never
 meet.  Grouping the meetings by offset and color gives each class's count,
 and every offset without a meeting has all of the line's colors, so a line
 takes O(q^2) steps for q arcs whatever p is.
 
-A field holds p < 2^63; a search with lines at a larger p, at least 2^63
-classes, raises ColoringError.  Only the returned witness is put in
+A search with lines at p >= 2^63 would walk more than 2^63 classes and
+raises ColoringError instead.  Only the returned witness is put in
 canonical form: first entry 0, first entry differing from it 1.
 """
 
@@ -223,52 +223,30 @@ def _affine_canonical(v: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple([((x - base) * scale) % p for x in v])
 
 
-def _field_width(p: int) -> int:
-    """Bits per field of a packed color vector: the smallest of 8, 16, 32,
-    64, 128, ... with p < 2^(w-1)."""
-    w = 8
-    while p >> (w - 1):
-        w *= 2
-    return w
+def _pack(v: Sequence[int]) -> int:
+    """One int holding the colors v[i] < 256 in byte i."""
+    return int.from_bytes(bytes(v), "little")
 
 
-def _pack(v: Sequence[int], w: int) -> int:
-    """One int holding v[i] in bits w*i .. w*i + w - 1."""
-    if w == 8:
-        return int.from_bytes(bytes(v), "little")
-    size = w // 8
-    return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in v]), "little")
-
-
-def _unpack(x: int, q: int, w: int) -> list[int]:
-    """The q fields of a packed vector."""
-    size = w // 8
-    b = x.to_bytes(q * size, "little")
-    if w == 8:
-        return list(b)
-    return [int.from_bytes(b[i:i + size], "little") for i in range(0, len(b), size)]
-
-
-def _mod_adder(p: int, q: int, w: int):
-    """Field-by-field addition mod p of packed vectors of q colors.  A field
-    of the sum is below 2p < 2^w; adding 2^(w-1) - p to it sets its top bit
-    exactly when it is >= p, and p is taken off those fields."""
-    ones = _pack([1] * q, w)
-    high = ones << (w - 1)
-    offset = ones * ((1 << (w - 1)) - p)
-    top = w - 1
+def _mod_adder(p: int, q: int):
+    """Byte-by-byte addition mod p < 128 of packed vectors of q colors.  A
+    byte of the sum is below 2p < 256; adding 128 - p to it sets its top
+    bit exactly when it is >= p, and p is taken off those bytes."""
+    ones = _pack([1] * q)
+    high = ones << 7
+    offset = ones * (128 - p)
 
     def add(x: int, y: int) -> int:
         s = x + y
-        return s - (((s + offset) & high) >> top) * p
+        return s - (((s + offset) & high) >> 7) * p
 
     return add
 
 
 def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
-    """Yield (offsets, counts, x, step) for runs of affine classes of
+    """Yield (offsets, counts, colors, step) for runs of affine classes of
     non-constant colorings, in walk order: counts[i] is the number of colors
-    of the packed vector x + offsets[i] * step.  Each run is a line of
+    of the class colors + offsets[i] * step.  Each run is a line of
     _walk_lines, and lines that walk_line(lower, upper) turns down are left
     out; the last run is the class of rest[-1] alone.  A class of a line
     missing from offsets has max(counts) colors and follows a listed class
@@ -276,8 +254,8 @@ def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
     listed.  When walk_line takes (lower, upper), it must also take every
     pair with a lower bound no higher and an upper bound no lower, and a
     pair it turns down must stay turned down for the rest of the walk: one
-    answer can skip a whole run of lines.  Fields are _field_width(p) bits
-    wide; _witness unpacks the class kept."""
+    answer can skip a whole run of lines.  At p >= 2^63, where a line alone
+    is more than 2^63 classes, a search with lines raises ColoringError."""
     p = params.n
     basis = kernel_basis(coloring_matrix(d, params))
     if len(basis) < 2:
@@ -289,31 +267,28 @@ def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
     if any(sum(col) % p != 1 for col in zip(*basis)):
         raise ColoringError("internal inconsistency: constant vectors not in kernel")
     rest = basis[1:]
-    w = _field_width(p)
     if len(rest) > 1:
-        if w > 64:
-            raise ColoringError(
-                f"orbit search at p={p} would walk at least 2^63 affine classes; "
-                "packed color fields hold p < 2^63"
-            )
-        yield from _walk_lines(rest, p, w, walk_line)
-    yield (0,), [len(set(rest[-1]))], _pack(rest[-1], w), 0
+        if p >> 63:
+            raise ColoringError(f"orbit search at p={p} would walk at least 2^63 affine classes")
+        yield from _walk_lines(rest, p, walk_line)
+    yield (0,), [len(set(rest[-1]))], rest[-1], rest[-1]
 
 
-def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
-    """The lines of _orbit_walk, on vectors packed w <= 64 bits a field.
-    Projective class j has coefficient 1 on rest[j], 0 before it, and every
-    coefficient tuple after it in product order, the last one fastest: for
-    each prefix x = rest[j] + c . rest[j+1:-1] it is the line of p classes
+def _walk_lines(rest: list[tuple[int, ...]], p: int, walk_line):
+    """The lines of _orbit_walk: step is rest[-1], and colors the line's
+    base as counted, bytes for p < 128 and a list otherwise.  Projective
+    class j has coefficient 1 on rest[j], 0 before it, and every coefficient
+    tuple after it in product order, the last one fastest: for each prefix
+    x = rest[j] + c . rest[j+1:-1] it is the line of p classes
     x + c * rest[-1], c = 0..p-1.
 
     Along a line, arcs with equal coordinates in rest[-1] move by the same
     amount, so each such group keeps its number of distinct colors.  The
     largest is a lower bound on the count of every class on the line, and
     their sum an upper bound; walk_line(lower, upper) says whether to walk
-    the line.  A walked line is counted by _bitmask_lines with 8-bit fields,
-    which may turn it down on a second bound, and by _meeting_lines with
-    wider ones.
+    the line.  For p < 128 a prefix is packed a byte per arc, and a walked
+    line is counted by _bitmask_lines, which may turn it down on a second
+    bound; at larger p a prefix is a color list, and _meeting_lines counts.
 
     The prefixes come in runs of p, base + c * inner for c = 0..p-1, where
     inner = rest[-2] is the innermost prefix vector, and each group moves
@@ -328,7 +303,13 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
     runs are bounded a prefix at a time, with one set per group, until p
     prefixes have been, and so is the lone last prefix."""
     q = len(rest[-1])
-    add = _mod_adder(p, q, w)
+    bitmask = p < 128
+    if bitmask:
+        add, read = _mod_adder(p, q), lambda x: x.to_bytes(q, "little")
+        prefixes = [_pack(v) for v in rest[:-1]]
+    else:
+        add, read = lambda x, y: [(a + b) % p for a, b in zip(x, y)], list
+        prefixes = rest[:-1]
     groups: dict[int, list[int]] = {}
     for i, c in enumerate(rest[-1]):
         groups.setdefault(c, []).append(i)
@@ -336,23 +317,17 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
     getters = [itemgetter(*g) for g in shared]
     lone = q - sum(map(len, shared))
     probe = (max(map(len, shared), default=1), lone + len(shared))
-    count_line = (_bitmask_lines if w == 8 else _meeting_lines)(rest[-1], p)
+    count_line = (_bitmask_lines if bitmask else _meeting_lines)(rest[-1], p)
     group_runs = None
     bounded = 0         # prefixes bounded one at a time
-
-    def read(x: int):
-        # The colors of x; the meeting count does arithmetic on them.
-        return x.to_bytes(q, "little") if w == 8 else _unpack(x, q, w)
-
-    packed = [_pack(v, w) for v in rest]
-    step, inner = packed[-1], packed[-2]
-    for j in range(len(packed) - 1):
+    inner = prefixes[-1]
+    for j in range(len(prefixes)):
         # The bases of the runs step through the other digits of the prefix;
         # the last prefix of all, rest[-2] itself, is a run of one.
-        outer = packed[j + 1:-2]
-        size = p if j < len(packed) - 2 else 1
+        outer = prefixes[j + 1:-1]
+        size = p if j < len(prefixes) - 1 else 1
         digits = [0] * len(outer)
-        base = packed[j]
+        base = prefixes[j]
         while True:
             lowers = one_by_one = None
             x, at = base, 0     # the prefix stepped to last, base + at * inner
@@ -368,7 +343,7 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
                         by_sets = True
                     else:
                         if group_runs is None:
-                            group_runs = _group_runs(shared, rest[-2], p, w)
+                            group_runs = _group_runs(shared, rest[-2], p, bitmask)
                         per_group = group_runs(read(base))
                         if not walk_line(max(map(min, per_group)), lone + sum(map(max, per_group))):
                             break
@@ -379,14 +354,14 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
                 while at < c:
                     x = add(x, inner)
                     at += 1
-                fields = read(x)
+                colors = read(x)
                 if by_sets:
-                    distinct = [len(set(get(fields))) for get in getters]
+                    distinct = [len(set(get(colors))) for get in getters]
                     if not walk_line(max(distinct), lone + sum(distinct)):
                         continue
-                run = count_line(fields, walk_line)
+                run = count_line(colors, walk_line)
                 if run is not None:
-                    yield *run, x, step
+                    yield *run, colors, rest[-1]
             # The next base.  A coefficient that wraps from p - 1 to 0 has
             # had its vector added p times, which is 0 mod p.
             i = len(outer) - 1
@@ -401,16 +376,16 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, w: int, walk_line):
                 break
 
 
-def _group_runs(groups: list[list[int]], inner: Sequence[int], p: int, w: int):
+def _group_runs(groups: list[list[int]], inner: Sequence[int], p: int, bitmask: bool):
     """For groups of arcs and the innermost prefix vector of _walk_lines, a
     function of the colors of a run's base x that gives, for each group,
     the number of colors of the group in x + c * inner for c = 0..p-1.  A
     group moves along a line of its own, so it is counted as a line is.
-    With 8-bit fields all groups share one mask of row patterns, group k in
-    rows k p .. k p + p - 1: the copy that a row's pattern shifts past its
-    read bits lands in bits 0..p-1 of the next row, which are not read.
-    With wider fields each group is counted from its meetings."""
-    if w == 8:
+    With bitmask (p < 128) all groups share one mask of row patterns, group
+    k in rows k p .. k p + p - 1: the copy that a row's pattern shifts past
+    its read bits lands in bits 0..p-1 of the next row, which are not read.
+    Otherwise each group is counted from its meetings."""
+    if bitmask:
         arcs = [i for g in groups for i in g]
         patterns = _row_patterns([inner[i] for i in arcs], p)
         block = p * ((2 * p + 7) // 8) * 8
@@ -574,13 +549,13 @@ def _meeting_lines(steps: Sequence[int], p: int):
     return count
 
 
-def _witness(d: Diagram, params: QuandleParams, x: int, step: int, c: int) -> Coloring:
-    """The coloring of the packed class x + c * step of _orbit_walk, in
+def _witness(
+    d: Diagram, params: QuandleParams, colors: Sequence[int], step: Sequence[int], c: int
+) -> Coloring:
+    """The coloring of the class colors + c * step of _orbit_walk, in
     canonical form."""
-    p, q, w = params.n, len(d.arcs), _field_width(params.n)
-    v = _unpack(x, q, w)
-    if c:
-        v = [(a + c * s) % p for a, s in zip(v, _unpack(step, q, w))]
+    p = params.n
+    v = [(a + c * s) % p for a, s in zip(colors, step)]
     return Coloring(p, params.m, dict(zip(d.arcs, _affine_canonical(v, p))))
 
 
@@ -592,30 +567,31 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
     witness is the canonical form of the first representative attaining the
     minimum.
     """
-    best: tuple[int, int, int, int] | None = None
+    best: tuple[int, Sequence[int], Sequence[int], int] | None = None
     # A line whose lower bound reaches the best count holds no class with
     # fewer colors, so skipping it keeps the first minimum as the witness.
-    for offsets, counts, x, step in _orbit_walk(
+    for offsets, counts, colors, step in _orbit_walk(
         d, params, lambda lower, upper: best is None or lower < best[0]
     ):
         count = min(counts)
         if best is None or count < best[0]:
-            best = (count, x, step, offsets[counts.index(count)])
+            best = (count, colors, step, offsets[counts.index(count)])
     if best is None:
         raise ColoringError(
             f"no non-trivial coloring of {d.name or 'diagram'} for n={params.n}, m={params.m}"
         )
-    count, x, step, c = best
+    count, colors, step, c = best
     p, m = params.n, params.m
-    # Links are left out: a split link has 2-color colorings.
-    if d.components == 1 and max(abs(m), abs(m - 1)) >= 2:
+    # Links are left out: a split link has 2-color colorings.  A knot colored
+    # non-trivially has m not 0 or 1 mod p, so max(|m|, |m - 1|) >= 2.
+    if d.components == 1:
         kl = kl_lower_bound(p, m)
         if count < kl:
             raise ColoringError(
                 f"internal inconsistency: {count} colors is below the "
                 f"Kauffman-Lopes bound {kl} for p={p}, m={m}"
             )
-    return count, _witness(d, params, x, step, c)
+    return count, _witness(d, params, colors, step, c)
 
 
 def coloring_from_anchors(
@@ -704,9 +680,9 @@ def _first_all_distinct(d: Diagram, params: QuandleParams) -> Coloring | None:
     all arcs, in canonical form, or None.  A line on which some group of
     _walk_lines repeats a color holds no such class."""
     q = len(d.arcs)
-    for offsets, counts, x, step in _orbit_walk(d, params, lambda lower, upper: upper == q):
+    for offsets, counts, colors, step in _orbit_walk(d, params, lambda lower, upper: upper == q):
         if q in counts:
-            return _witness(d, params, x, step, offsets[counts.index(q)])
+            return _witness(d, params, colors, step, offsets[counts.index(q)])
     return None
 
 

@@ -72,6 +72,11 @@ def _mersenne_above(bound: int) -> int:
     )
 
 
+def _symmetric(c: int, p: int) -> int:
+    """The lift of a residue c mod p to (-p/2, p/2]."""
+    return c - p if c > p // 2 else c
+
+
 def pencil_modulus(rows: list[Row]) -> int:
     """The modulus for det(A + tB): the smallest tabulated Mersenne prime
     above twice its coefficient bound."""
@@ -96,8 +101,7 @@ def pencil_det(rows: list[Row]) -> list[int]:
     for t in range(_FIRST_T, _FIRST_T + n + 1):
         v = _replay(compiled, t, p) if compiled else None
         values.append(_markowitz(pencil_at(rows, t, p), p)[0] if v is None else v)
-    half = p // 2
-    return [c - p if c > half else c for c in _interpolate(values, p)]
+    return [_symmetric(c, p) for c in _interpolate(values, p)]
 
 
 def _perm_sign(order: list[tuple[int, int]]) -> int:
@@ -298,4 +302,4 @@ def pivot_minor(rows: list[dict[int, int]]) -> tuple[list[int], int]:
     p = _mersenne_above(isqrt(prod(norms[:ncols]) - 1) + 1)
     # Every entry is a minor, so it is non-zero mod p too.
     pivots, _, det = echelon(rows, p)
-    return [i for i, _ in pivots], det - p if det > p // 2 else det
+    return [i for i, _ in pivots], _symmetric(det, p)

@@ -38,14 +38,12 @@ from qfox.coloring import (
     ModMatrix,
     _affine_canonical,
     _bitmask_lines,
-    _field_width,
     _first_all_distinct,
     _group_runs,
     _meeting_lines,
     _mod_adder,
     _orbit_walk,
     _pack,
-    _unpack,
 )
 from qfox.sparse import pivot_minor
 from oracles import (
@@ -189,6 +187,9 @@ def test_min_colors_torus_2_5():
 def test_min_colors_raises_when_uncolorable(trefoil):
     with pytest.raises(ColoringError):
         min_colors_on_diagram(trefoil, QuandleParams(5, 2))
+    # m = 4 is 1 mod 3: every crossing reads x_in = x_out, so only constants.
+    with pytest.raises(ColoringError, match="no non-trivial coloring"):
+        min_colors_on_diagram(trefoil, QuandleParams(3, 4))
 
 
 # -- verification ------------------------------------------------------------------
@@ -489,7 +490,7 @@ def _odd_prime_factors(value, limit):
     return [q for q in range(3, limit + 1, 2) if value % q == 0 and smallest_prime_factor(q) == q]
 
 
-# Field widths: 8 bits up to p = 127, 16 bits from 131 to 2731.
+# Bitmask line counts up to p = 127, meeting counts on color lists from 131 to 2731.
 WALK_PRIMES = [3, 5, 7, 11, 13, 43, 127, 131, 683, 2731]
 
 
@@ -523,9 +524,9 @@ def walk_cases(draw):
     return d, params
 
 
-@example((braid_closure([1] * 7 + [2] * 7), QuandleParams(127, -2)))      # the largest 8-bit p
-@example((braid_closure([1] * 5 + [2] * 5), QuandleParams(131, 42)))       # the smallest 16-bit p
-@example((braid_closure([1] * 11 + [2] * 11), QuandleParams(683, 2)))      # 16-bit fields
+@example((braid_closure([1] * 7 + [2] * 7), QuandleParams(127, -2)))      # the largest bitmask p
+@example((braid_closure([1] * 5 + [2] * 5), QuandleParams(131, 42)))       # the smallest color-list p
+@example((braid_closure([1] * 11 + [2] * 11), QuandleParams(683, 2)))      # color lists
 @example((braid_closure([1] * 7 + [-2] * 7), QuandleParams(547, 3)))
 @example((braid_closure([1] * 4 + [2] * 4 + [3] * 3), QuandleParams(5, 2)))  # a link
 @settings(max_examples=80, deadline=None)
@@ -553,24 +554,26 @@ def _expand(offsets, counts, classes):
 def test_walk_visits_the_oracle_classes_in_order(ns, p, m):
     """With no line skipped, the packed walk visits the classes of the list
     walk, in the same order, with the same color counts: each run of
-    (offsets, counts, x, step) stands for the classes x + c * step, every
-    c = 0..p-1 of a line for each run but the last, which is one class."""
+    (offsets, counts, colors, step) stands for the classes colors + c *
+    step, every c = 0..p-1 of a line for each run but the last, which is
+    one class.  A line's colors are bytes below p = 128 and a list above,
+    and its step is the last basis vector."""
     d = _sum(*ns)
     params = QuandleParams(p, m)
-    q, w = len(d.arcs), _field_width(p)
+    last = kernel_basis(coloring_matrix(d, params))[-1]
     runs = list(_orbit_walk(d, params, lambda lower, upper: True))
     walked = []
-    for i, (offsets, counts, x, step) in enumerate(runs):
-        base, steps = _unpack(x, q, w), _unpack(step, q, w)
+    for i, (offsets, counts, colors, step) in enumerate(runs):
         classes = p if i < len(runs) - 1 else 1
+        assert step == last and type(colors) is (tuple if classes == 1 else bytes if p < 128 else list)
         for c, count in enumerate(_expand(offsets, counts, classes)):
-            v = [(a + c * s) % p for a, s in zip(base, steps)]
+            v = [(a + c * s) % p for a, s in zip(colors, step)]
             walked.append((count, _affine_canonical(v, p)))
     want = [(len(set(v)), _affine_canonical(v, p)) for v in orbit_representatives(d, params)]
     assert len(want) > p and walked == want
 
 
-# Every prime with 8-bit fields, the range where lines are counted by bitmasks.
+# Every prime below 128, the range where lines are counted by bitmasks.
 BITMASK_PRIMES = [q for q in range(3, 128) if smallest_prime_factor(q) == q]
 
 
@@ -630,7 +633,7 @@ def test_half_line_bounds_hold_on_every_class(case):
         assert run is None
 
 
-# Meeting counts at 16-bit primes and at small ones, where the offsets of a
+# Meeting counts at primes past 128 and at small ones, where the offsets of a
 # line with meetings cover it.
 MEETING_PRIMES = [3, 5, 7, 11, 43, 131, 257, 683, 2731]
 
@@ -668,8 +671,8 @@ def test_meeting_counts_match_the_unpacked_classes(line):
     ([1, 1, -1, -1], 3, 2),                   # split closure: 3 colors, a 2-color class
     ([1, 1, -1, -1], 5, 2),
     ([1, 1, -1, -1], 7, 3),
-    ([1] * 13 + [2] * 13, 2731, 2),           # 2 x T(2,13): 16-bit fields
-    ([1] * 17 + [2] * 17, 43691, 2),          # 2 x T(2,17): 32-bit fields
+    ([1] * 13 + [2] * 13, 2731, 2),           # 2 x T(2,13): color lists
+    ([1] * 17 + [2] * 17, 43691, 2),          # 2 x T(2,17)
     ([1] * 5 + [2] * 5 + [3] * 5 + [4] * 5, 11, 2),
     ([1, 1, 1, -2, -2, -2, 3, 3, 3, -4, -4, -4, 5, 5, 5], 3, 2),
 ])
@@ -713,11 +716,11 @@ def test_half_line_skip_keeps_the_first_minimum(monkeypatch, word, p, m):
 
 @st.composite
 def group_runs_cases(draw):
-    """A field width, a prime p, up to 40 arcs split into groups by label,
-    and their inner and base colors, the inner ones often from a few
-    values."""
-    w = draw(st.sampled_from([8, 16]))
-    p = draw(st.sampled_from(BITMASK_PRIMES if w == 8 else MEETING_PRIMES))
+    """Bitmask or meeting counts, a prime p, up to 40 arcs split into
+    groups by label, and their inner and base colors, the inner ones often
+    from a few values."""
+    bitmask = draw(st.booleans())
+    p = draw(st.sampled_from(BITMASK_PRIMES if bitmask else MEETING_PRIMES))
     q = draw(st.integers(1, 40))
     labels = draw(st.lists(st.integers(0, 4), min_size=q, max_size=q))
     groups = [[i for i in range(q) if labels[i] == g] for g in sorted(set(labels))]
@@ -725,29 +728,29 @@ def group_runs_cases(draw):
     inner = draw(st.lists(st.sampled_from(values) if draw(st.booleans()) else st.integers(0, p - 1),
                           min_size=q, max_size=q))
     base = draw(st.lists(st.integers(0, p - 1), min_size=q, max_size=q))
-    return w, p, groups, inner, base
+    return bitmask, p, groups, inner, base
 
 
-@example((8, 3, [[0, 1, 2]], [0, 1, 2], [0, 0, 0]))          # 1, 3, 3 colors
-@example((8, 127, [[0, 2], [1, 3]], [0, 126, 1, 1], [5, 5, 126, 0]))
-@example((16, 131, [[0, 1, 2]], [0, 1, 2], [0, 130, 129]))   # three meet at c = 1
-@example((16, 3, [[0, 1], [2, 3, 4]], [0, 0, 1, 2, 0], [1, 2, 0, 0, 0]))
+@example((True, 3, [[0, 1, 2]], [0, 1, 2], [0, 0, 0]))          # 1, 3, 3 colors
+@example((True, 127, [[0, 2], [1, 3]], [0, 126, 1, 1], [5, 5, 126, 0]))
+@example((False, 131, [[0, 1, 2]], [0, 1, 2], [0, 130, 129]))   # three meet at c = 1
+@example((False, 3, [[0, 1], [2, 3, 4]], [0, 0, 1, 2, 0], [1, 2, 0, 0, 0]))
 @settings(max_examples=200, deadline=None)
 @given(group_runs_cases())
 def test_group_run_counts_match_the_unpacked_prefixes(case):
     """Each group's run counts are len(set(...)) of the group's colors at
     every prefix x + c * inner, c = 0..p-1, with one shared mask of row
-    patterns at 8-bit fields and meeting counts at wider ones."""
-    w, p, groups, inner, base = case
-    fields = bytes(base) if w == 8 else base
-    runs = _group_runs(groups, inner, p, w)(fields)
+    patterns on bytes, or meeting counts on a color list."""
+    bitmask, p, groups, inner, base = case
+    colors = bytes(base) if bitmask else base
+    runs = _group_runs(groups, inner, p, bitmask)(colors)
     assert len(runs) == len(groups)
     for group, counts in zip(groups, runs):
         want = [len({(base[i] + c * inner[i]) % p for i in group}) for c in range(p)]
         assert list(counts) == want
 
 
-def _prefix_walk(rest, p, w, walk_line):
+def _prefix_walk(rest, p, walk_line):
     """The lines of _walk_lines from a plain walk over the prefixes, in
     order, each bounded by one set per step group and then counted by the
     same line counter: what the walk yields with no run bounds."""
@@ -756,8 +759,7 @@ def _prefix_walk(rest, p, w, walk_line):
         groups.setdefault(s, []).append(i)
     shared = [g for g in groups.values() if len(g) > 1]
     lone = len(groups) - len(shared)
-    count_line = (_bitmask_lines if w == 8 else _meeting_lines)(rest[-1], p)
-    step = _pack(rest[-1], w)
+    count_line = (_bitmask_lines if p < 128 else _meeting_lines)(rest[-1], p)
     for j in range(len(rest) - 1):
         middle = rest[j + 1:-1]
         for coefficients in product(range(p), repeat=len(middle)):
@@ -766,9 +768,10 @@ def _prefix_walk(rest, p, w, walk_line):
                 x = [(a + c * s) % p for a, s in zip(x, v)]
             distinct = [len({x[i] for i in g}) for g in shared]
             if walk_line(max(distinct, default=1), lone + sum(distinct)):
-                run = count_line(bytes(x) if w == 8 else x, walk_line)
+                colors = bytes(x) if p < 128 else x
+                run = count_line(colors, walk_line)
                 if run is not None:
-                    yield *run, _pack(x, w), step
+                    yield *run, colors, rest[-1]
 
 
 # Kernel dimension 5 and 6, where runs are bounded at once after the first p
@@ -789,19 +792,19 @@ def test_run_bounds_yield_what_prefix_bounds_yield(case, floor, ceiling):
     def walk_line(lower, upper):
         return lower < floor or upper >= ceiling
 
-    assert list(coloring._walk_lines(rest, p, 8, walk_line)) == list(_prefix_walk(rest, p, 8, walk_line))
+    assert list(coloring._walk_lines(rest, p, walk_line)) == list(_prefix_walk(rest, p, walk_line))
 
 
 @pytest.mark.parametrize("floor,ceiling", [(2, 13), (3, 13), (4, 12)])
 def test_wide_field_run_bounds_yield_what_prefix_bounds_yield(floor, ceiling):
-    """The same at 16-bit fields, on 4 x T(2,3) at (157, 13): 24,807
-    lines, whose runs are bounded from their groups' meetings."""
+    """The same on color lists, on 4 x T(2,3) at (157, 13): 24,807 lines,
+    whose runs are bounded from their groups' meetings."""
     rest = kernel_basis(coloring_matrix(_sum(3, 3, 3, 3), QuandleParams(157, 13)))[1:]
 
     def walk_line(lower, upper):
         return lower < floor or upper >= ceiling
 
-    assert list(coloring._walk_lines(rest, 157, 16, walk_line)) == list(_prefix_walk(rest, 157, 16, walk_line))
+    assert list(coloring._walk_lines(rest, 157, walk_line)) == list(_prefix_walk(rest, 157, walk_line))
 
 
 def _count_runs_and_lines(monkeypatch):
@@ -832,7 +835,7 @@ def _count_runs_and_lines(monkeypatch):
     ([1] * 5 + [2] * 5 + [3] * 5 + [4] * 5, 11, 2, True),            # 4 x T(2,5): 133 lines
     # Kernel dimension 4: one run, bounded a prefix at a time.
     ([1] * 5 + [-2] * 5 + [3] * 5, 11, 2, False),                    # T(2,5) # T(2,-5) # T(2,5)
-    ([1] * 11 + [2] * 11 + [3] * 11, 683, 2, False),                 # 3 x T(2,11): 16-bit fields
+    ([1] * 11 + [2] * 11 + [3] * 11, 683, 2, False),                 # 3 x T(2,11): color lists
 ])
 def test_run_bounds_keep_the_first_minimum(monkeypatch, word, p, m, by_runs):
     """Searches where whole runs of p prefixes are bounded at once still
@@ -878,7 +881,7 @@ def test_the_minimum_is_read_at_its_offset(monkeypatch):
     2 x T(2,11) at p = 683, started two classes later, has its first
     minimum at c = 272, the 40th offset with a meeting."""
     d, params = _sum(11, 11), QuandleParams(683, 2)
-    p, q, w = 683, len(d.arcs), _field_width(683)
+    p = 683
     rest = kernel_basis(coloring_matrix(d, params))[1:]
     steps = rest[-1]
     base = [(a + 2 * s) % p for a, s in zip(rest[0], steps)]
@@ -886,7 +889,7 @@ def test_the_minimum_is_read_at_its_offset(monkeypatch):
     every = _expand(offsets, counts, p)
     c = every.index(min(every))
     assert (c, offsets.index(c)) == (272, 39)
-    run = (offsets, counts, _pack(base, w), _pack(steps, w))
+    run = (offsets, counts, base, steps)
     monkeypatch.setattr(coloring, "_orbit_walk", lambda d, params, walk_line: iter([run]))
     count, witness = min_colors_on_diagram(d, params)
     v = [(a + c * s) % p for a, s in zip(base, steps)]
@@ -902,33 +905,26 @@ def test_kh_witness_is_the_first_all_distinct_class():
         assert got == first_all_distinct(d, QuandleParams(p, m))
 
 
-# Primes just below and above 2^7, 2^15 and 2^31, and the largest below 2^63.
-FIELD_BOUNDARY_PRIMES = [
-    (127, 8), (131, 16), (32749, 16), (32771, 32),
-    (2**31 - 1, 32), (2**31 + 11, 64), (2**63 - 25, 64),
-]
-
-
-@pytest.mark.parametrize("p,w", FIELD_BOUNDARY_PRIMES)
-def test_packed_addition_at_field_boundaries(p, w):
-    assert smallest_prime_factor(p) == p
-    assert _field_width(p) == w
+@pytest.mark.parametrize("p", BITMASK_PRIMES)
+def test_packed_addition_at_field_boundaries(p):
+    """Byte-by-byte addition mod p of packed vectors, with colors at both
+    ends of 0..p-1, at every prime below 128."""
     rng = random.Random(p)
     q = 9
-    add = _mod_adder(p, q, w)
+    add = _mod_adder(p, q)
     edges = [0, 1, p - 2, p - 1]
     vectors = [[p - 1] * q, [0] * q, [1] * q, edges * 2 + [p // 2]]
     vectors += [[rng.randrange(p) for _ in range(q)] for _ in range(20)]
     for x in vectors:
-        assert _unpack(_pack(x, w), q, w) == x
+        assert list(_pack(x).to_bytes(q, "little")) == x
         for y in vectors:
-            assert _unpack(add(_pack(x, w), _pack(y, w)), q, w) == [(a + b) % p for a, b in zip(x, y)]
+            assert list(add(_pack(x), _pack(y)).to_bytes(q, "little")) == [(a + b) % p for a, b in zip(x, y)]
 
 
 def test_orbit_search_past_64_bit_fields_raises():
     """T(2,3) # T(2,3) at m = 2^32 has kernel dimension 3 at the prime
-    p = 2^64 - 2^32 + 1 = m^2 - m + 1, so p + 1 classes: past what a packed
-    field holds, and far past any search that ends."""
+    p = 2^64 - 2^32 + 1 = m^2 - m + 1, so p + 1 classes: more than 2^63,
+    and far past any search that ends."""
     d = braid_closure([1, 1, 1, 2, 2, 2])
     params = QuandleParams(2**64 - 2**32 + 1, 2**32)
     assert smallest_prime_factor(params.n) == params.n
@@ -937,7 +933,7 @@ def test_orbit_search_past_64_bit_fields_raises():
         min_colors_on_diagram(d, params)
     with pytest.raises(ColoringError, match="2\\^63"):
         _first_all_distinct(d, params)
-    # One class needs no packed step: the trefoil alone is fine at this p.
+    # One class is no line: the trefoil alone is fine at this p.
     count, witness = min_colors_on_diagram(braid_closure([1, 1, 1]), params)
     assert count == 3 and verify_coloring(braid_closure([1, 1, 1]), witness)
 
