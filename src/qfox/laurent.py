@@ -7,10 +7,10 @@ straight from its crossings (alexander_matrix).  Every entry is linear in
 t, so the matrix is a sparse pencil A + tB: one row of at most three
 (column, a, b) triples per crossing, for the entries a + bt.  A first
 minor of size n is det(A + tB) for the minor's rows, taken by sparse
-elimination and interpolation modulo a Mersenne prime above twice a proven
-coefficient bound (the product of the rows' coefficient 1-norms, at most
-4^n for relation rows; see qfox.sparse), so no division needs checking; the
-dense integer route is a test oracle.  Exact division (exact_div) is long
+elimination modulo a Mersenne prime above a proven coefficient bound, at
+one point t = 2^K whose base-2^K digits are the coefficients, or for the
+largest minors at n + 1 points and by interpolation (see qfox.sparse), so
+no division needs checking; the dense integer route is a test oracle.  Exact division (exact_div) is long
 division by integer divmod checked for a remainder.  No integer elimination
 runs here: the mod-p kernel and the collapse checks (qfox.coloring)
 evaluate the same triples at t = m and take them to the echelon form of

@@ -1,20 +1,40 @@
 """Sparse elimination modulo a prime, in two routines: the determinant of an
-integer pencil A + tB by evaluation and interpolation modulo one Mersenne
-prime, and a column-ordered echelon form for kernels, anchored solves and
-the pivots and determinant of an integer matrix.
+integer pencil A + tB by evaluation modulo one Mersenne prime, and a
+column-ordered echelon form for kernels, anchored solves and the pivots and
+determinant of an integer matrix.
 
 A pencil row is a list of (column, a, b) triples, one per entry a + b*t that
 is not identically zero; columns are numbered 0..n-1.  The pivot order is
 chosen once, by Markowitz's rule (the shortest remaining row, then its
-sparsest column), in an elimination at a generic point.  That order is
-compiled into a fixed sequence of updates on a flat value array, covering
-every entry the order can fill at any t, and the sequence is replayed at
-t = 2, 3, ..., n + 2.  The relation entries t, 1 - t and -1 vanish at no
-such t, which is why the points start at 2.  Where a replayed pivot
-vanishes all the same, a fresh Markowitz elimination at that t gives the
-value instead.  Newton interpolation mod p then gives the coefficients of
-det(A + tB) mod p.  Each elimination reads the pencil at one t through
-pencil_at, as rows {column: value non-zero mod p}.
+sparsest column), in an elimination at a generic point modulo 2^61 - 1:
+the order is only a heuristic, since every replay checks its pivots, so a
+word-size modulus serves every pencil.  That order is compiled into a fixed
+sequence of updates on a flat value array, covering every entry the order
+can fill at any t, and the sequence is replayed at each evaluation point
+modulo a Mersenne prime p = 2^e - 1, where a product is reduced by folding,
+(x & p) + (x >> e), instead of by division.  Where a replayed pivot
+vanishes, a fresh Markowitz elimination at that t gives the value instead.
+Each elimination reads the pencil at one t through pencil_at, as rows
+{column: value non-zero mod p}.
+
+Most pencils are evaluated at one point, t = 2^K (Kronecker substitution).
+On |t| = 1 every entry has |a + bt| <= |a| + |b|, so by Hadamard's
+inequality |det(A + tB)| < H = isqrt(prod_i sum_j (|a_ij| + |b_ij|)^2) + 1
+there, and every coefficient, a Fourier coefficient of det on the unit
+circle, is below H as well.  With K = bits(H) + 2 each coefficient lies in
+(-2^(K-2), 2^(K-2)), so |det(2^K)| < 2^(K(n+1) - 1); modulo the smallest
+tabulated Mersenne prime above 2^(K(n+1) + 1) the symmetric lift of the
+residue is det(2^K) itself, and its balanced base-2^K digits, each in
+[-2^(K-1), 2^(K-1)), are the coefficients.  A replayed pivot is non-zero
+exactly when the minor on the pivot rows and columns so far is; that minor
+obeys the same bound, so it vanishes at 2^K only if it is the zero
+polynomial, which the ordering run has ruled out.  Past
+ONE_POINT_MAX_EXPONENT one wide evaluation costs more than n + 1 narrow
+ones, so there the sequence is replayed at t = 2, 3, ..., n + 2, modulo
+the smallest tabulated Mersenne prime above twice the 1-norm bound below,
+and Newton interpolation mod p gives the coefficients.  The relation
+entries t, 1 - t and -1 vanish at no such t, which is why the points start
+at 2.
 
 echelon reads rows in that form too and takes the columns in increasing
 order; a column's pivot is the first remaining row that is non-zero there,
@@ -25,21 +45,23 @@ pivot_minor runs it on an integer matrix.
 Exactness rests on bounds, not on checked divisions, and on a fixed table
 of Mersenne primes 2^e - 1 whose primality is proven (Lucas-Lehmer): the
 modulus is the smallest of them above twice the bound, so no primality
-test and no Chinese remaindering runs.  For a pencil, expanding the product
-over the rows of the sums of |a_ij| + |b_ij| covers every term of the
-Leibniz expansion, so B = prod_i sum_j (|a_ij| + |b_ij|) bounds the 1-norm
-of the coefficient vector of det(A + tB), and each coefficient is the
-symmetric lift of its residue.  For an integer matrix, Hadamard's
-inequality bounds every minor by the product of the Euclidean norms of the
-min(rows, columns) largest non-zero rows.  Every entry a column-ordered
-elimination meets is a ratio of two minors (the Bareiss entries), so below
-that bound an entry vanishes mod p exactly when it vanishes over the
-rationals: the modular run picks the pivots of the exact one, and the
-product of its pivots, a minor, is the symmetric lift of its residue.
+test and no Chinese remaindering runs.  For a pencil at n + 1 points,
+expanding the product over the rows of the sums of |a_ij| + |b_ij| covers
+every term of the Leibniz expansion, so B = prod_i sum_j (|a_ij| + |b_ij|)
+bounds the 1-norm of the coefficient vector of det(A + tB), and each
+coefficient is the symmetric lift of its residue.  For an integer matrix,
+Hadamard's inequality bounds every minor by the product of the Euclidean
+norms of the min(rows, columns) largest non-zero rows.  Every entry a
+column-ordered elimination meets is a ratio of two minors (the Bareiss
+entries), so below that bound an entry vanishes mod p exactly when it
+vanishes over the rationals: the modular run picks the pivots of the exact
+one, and the product of its pivots, a minor, is the symmetric lift of its
+residue.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import isqrt, prod
 
 from .errors import DiagramError
@@ -50,9 +72,18 @@ MERSENNE_EXPONENTS = (
     9941, 11213, 19937,
 )
 
-# The point of the ordering elimination; any value far from the
-# interpolation points will do.
+# The point and the modulus of the ordering elimination (see the module
+# docstring).
 _GENERIC_T = 0x9E3779B97F4A7C15
+_ORDER_P = (1 << 61) - 1
+
+# The largest Mersenne exponent evaluated at one point.  Whole first minors
+# timed both ways (Python 3.11.7, 2-core Xeon, best of 3-5 runs): modulo
+# 2^4253 - 1 and 2^4423 - 1, one point took 7-12 ms against 9-16 ms for
+# n + 1 points (T(5,13), T(6,11), T(7,9), T(2,55), T(2,57), P(-2,3,53)); at
+# the next exponent, 9689, it took 20-41 ms against 9-26 ms (T(2,59),
+# T(2,61), P(-2,3,55)).
+ONE_POINT_MAX_EXPONENT = 4423
 
 # The interpolation points are t = _FIRST_T, ..., _FIRST_T + n.
 _FIRST_T = 2
@@ -90,18 +121,56 @@ def pencil_at(rows: list[Row], t: int, p: int) -> list[dict[int, int]]:
 
 def pencil_det(rows: list[Row]) -> list[int]:
     """The n + 1 coefficients of det(A + tB), lowest degree first, for a
-    square pencil given as n rows of (column, a, b) triples."""
+    square pencil given as n rows of (column, a, b) triples: at one point
+    while its modulus is at most 2^ONE_POINT_MAX_EXPONENT - 1, else at
+    n + 1 points."""
+    width = _digit_width(rows)
+    if width * (len(rows) + 1) + 1 < ONE_POINT_MAX_EXPONENT:
+        return _det_at_one_point(rows, width)
+    return _det_at_points(rows)
+
+
+def _digit_width(rows: list[Row]) -> int:
+    """K = bits(H) + 2, where H = isqrt(prod_i sum_j (|a_ij| + |b_ij|)^2) + 1
+    exceeds every coefficient of det(A + tB) (see the module docstring)."""
+    h = isqrt(prod(sum((abs(a) + abs(b)) ** 2 for _, a, b in row) for row in rows)) + 1
+    return h.bit_length() + 2
+
+
+def _det_at_one_point(rows: list[Row], width: int) -> list[int]:
+    """det(A + tB) from its value at t = 2^width modulo the smallest
+    tabulated Mersenne prime above 2^(width * (n + 1) + 1): the balanced
+    base-2^width digits of the symmetric lift."""
     n = len(rows)
-    if not n:
-        return [1]
+    p = _mersenne_above(1 << (width * (n + 1)))
+    value = _symmetric(_det_values(rows, [1 << width], p)[0], p)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    coeffs = []
+    for _ in range(n + 1):
+        coeffs.append(((value + half) & mask) - half)
+        value = (value + half) >> width
+    return coeffs
+
+
+def _det_at_points(rows: list[Row]) -> list[int]:
+    """det(A + tB) from its values at t = 2, 3, ..., n + 2 modulo
+    pencil_modulus, by interpolation."""
     p = pencil_modulus(rows)
-    order = _markowitz(pencil_at(rows, _GENERIC_T, p), p)[1]
-    compiled = _compile(rows, order) if len(order) == n else None
+    values = _det_values(rows, range(_FIRST_T, _FIRST_T + len(rows) + 1), p)
+    return [_symmetric(c, p) for c in _interpolate(values, p)]
+
+
+def _det_values(rows: list[Row], points: Sequence[int], p: int) -> list[int]:
+    """det(A + tB) mod the Mersenne prime p at each t of `points`, by one
+    compiled elimination in a Markowitz order taken mod _ORDER_P; a fresh
+    Markowitz elimination mod p gives each value the replay cannot."""
+    order = _markowitz(pencil_at(rows, _GENERIC_T, _ORDER_P), _ORDER_P)[1]
+    compiled = _compile(rows, order) if len(order) == len(rows) else None
     values = []
-    for t in range(_FIRST_T, _FIRST_T + n + 1):
+    for t in points:
         v = _replay(compiled, t, p) if compiled else None
         values.append(_markowitz(pencil_at(rows, t, p), p)[0] if v is None else v)
-    return [_symmetric(c, p) for c in _interpolate(values, p)]
+    return values
 
 
 def _perm_sign(order: list[tuple[int, int]]) -> int:
@@ -203,27 +272,46 @@ def _compile(rows: list[Row], order: list[tuple[int, int]]):
 
 
 def _replay(compiled, t: int, p: int) -> int | None:
-    """det(A + tB) mod p by the compiled elimination; None when a pivot
-    vanishes at this t.  Each target row scaled by a pivot pv puts one
-    factor pv into `den`, which is divided out once at the end."""
-    init, steps, size, det = compiled
+    """det(A + tB) mod the Mersenne prime p = 2^e - 1 by the compiled
+    elimination; None when a pivot vanishes at this t.  Each target row
+    scaled by a pivot pv puts one factor pv into `den`, which is divided out
+    once at the end.  Values stay in [0, p): the subtracted term is
+    (p - v) * w, and every product or sum of two products x < 2^(2e + 1) is
+    reduced by folding, x = (x & p) + (x >> e) twice, which leaves
+    x <= 2^e + 2, then one conditional subtraction of p."""
+    init, steps, size, sign = compiled
+    e = p.bit_length()
     vals = [0] * size
     for s, a, b in init:
         vals[s] = (a + b * t) % p
+    det = sign % p
     den = 1
     for piv, targets in steps:
         pv = vals[piv]
         if not pv:
             return None
-        det = det * pv % p
+        x = det * pv
+        x = (x & p) + (x >> e)
+        x = (x & p) + (x >> e)
+        det = x - p if x >= p else x
         for s, pairs, scaled in targets:
             v = vals[s]
             if v:
-                den = den * pv % p
+                x = den * pv
+                x = (x & p) + (x >> e)
+                x = (x & p) + (x >> e)
+                den = x - p if x >= p else x
+                nv = p - v
                 for dst, src in pairs:
-                    vals[dst] = (pv * vals[dst] - v * vals[src]) % p
+                    x = pv * vals[dst] + nv * vals[src]
+                    x = (x & p) + (x >> e)
+                    x = (x & p) + (x >> e)
+                    vals[dst] = x - p if x >= p else x
                 for dst in scaled:
-                    vals[dst] = pv * vals[dst] % p
+                    x = pv * vals[dst]
+                    x = (x & p) + (x >> e)
+                    x = (x & p) + (x >> e)
+                    vals[dst] = x - p if x >= p else x
     return det * pow(den, -1, p) % p
 
 

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -232,8 +233,9 @@ def _pencil_poly(a, b):
 @example(([[0, 1], [0, 2]], [[1, 0], [2, 0]]))  # singular: second row twice the first
 @settings(max_examples=150, deadline=None)
 def test_interpolated_det_matches_oracles(pencil):
-    """det(A + tB) by interpolation, directly and as a first minor of a
-    bordered matrix, against fraction-free Z[t] elimination and cofactors."""
+    """det(A + tB) by the integer-interpolation oracle and as a first minor
+    of a bordered matrix, against fraction-free Z[t] elimination and
+    cofactors."""
     a, b = pencil
     expected = det_cofactor(_pencil_poly(a, b))
     assert det_bareiss(_pencil_poly(a, b)) == expected
@@ -261,24 +263,115 @@ def test_newton_expand_rejects_non_integer_polynomial():
         _newton_expand([0, 0, 1])  # x(x - 1)/2
 
 
+def _pushed(a, b, side):
+    """The pencil as (column, a, b) rows, bordered by one more row and
+    column holding the constant 2^s: s = 0 when side is None, else the s
+    that puts the one-point exponent bound width * (n + 1) + 1 just below
+    or just above ONE_POINT_MAX_EXPONENT.  A zero row holds H at 1 whatever
+    the border, so such a pencil is not pushed.  Also returns the bordered
+    A and B and the side reached."""
+    n = len(a)
+    if not all(any(ra) or any(rb) for ra, rb in zip(a, b)):
+        side = None
+
+    def bordered(s):
+        return [ra + [0] for ra in a] + [[0] * n + [1 << s]], [rb + [0] for rb in b] + [[0] * (n + 1)]
+
+    def rows(s):
+        a2, b2 = bordered(s)
+        return [[(j, x, y) for j, (x, y) in enumerate(zip(ra, rb)) if x or y] for ra, rb in zip(a2, b2)]
+
+    def exponent_bound(s):
+        return sparse._digit_width(rows(s)) * (n + 2) + 1
+
+    s = 0
+    if side:
+        s = next(s for s in range(sparse.ONE_POINT_MAX_EXPONENT) if exponent_bound(s) >= sparse.ONE_POINT_MAX_EXPONENT)
+        s -= side == "below"
+    return rows(s), *bordered(s), side
+
+
+@given(_pencils(), st.sampled_from([None, "below", "above"]))
+@example(([[0, 1], [1, 0]], [[0, 0], [0, 0]]), None)  # odd pivot permutation: det -1
+@example(([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]), "above")  # a 3-cycle
+@example(([[0, 1], [1, 0]], [[1, 0], [0, 0]]), "below")  # det -1: odd permutation
+@example(([[0, 1], [0, 2]], [[1, 0], [2, 0]]), "above")  # singular
+@settings(max_examples=100, deadline=None)
+def test_one_point_and_n_plus_1_points_match_oracles(pencil, side):
+    """Both evaluations of det(A + tB), called directly on the same pencil,
+    against cofactors and fraction-free Z[t] elimination, with pencils
+    bordered by a constant that puts the one-point modulus just either side
+    of the cutoff; no coefficient exceeds H."""
+    rows, a, b, side = _pushed(*pencil, side)
+    expected = det_cofactor(_pencil_poly(a, b))
+    assert det_bareiss(_pencil_poly(a, b)) == expected
+    h = isqrt(prod(sum((abs(x) + abs(y)) ** 2 for _, x, y in row) for row in rows)) + 1
+    width = sparse._digit_width(rows)
+    assert width == h.bit_length() + 2
+    one_point = sparse._det_at_one_point(rows, width)
+    points = sparse._det_at_points(rows)
+    assert len(one_point) == len(points) == len(rows) + 1
+    assert LaurentPoly(tuple(one_point)) == LaurentPoly(tuple(points)) == expected
+    assert max(map(abs, one_point)) <= h
+    below = width * (len(rows) + 1) + 1 < sparse.ONE_POINT_MAX_EXPONENT
+    if side:
+        assert below == (side == "below")
+    assert sparse.pencil_det(rows) == (one_point if below else points)
+
+
+def test_odd_pivot_permutation_starts_the_replay_at_minus_one():
+    """The pivots of [[0, 1], [1, t]] take row 0 to column 1 and row 1 to
+    column 0, a transposition, so the replay starts det at p - 1."""
+    rows = [[(1, 1, 0)], [(0, 1, 0), (1, 0, 1)]]
+    compiled = sparse._compile(rows, [(0, 1), (1, 0)])
+    assert compiled[3] == -1
+    assert sparse._replay(compiled, 5, (1 << 61) - 1) == (1 << 61) - 2
+    assert sparse.pencil_det(rows) == [-1, 0, 0]
+
+
 def test_vanishing_replayed_pivot_reruns_markowitz(monkeypatch):
-    """det [[t - 2, 1], [1, 2]] = 2t - 5.  The generic order pivots on t - 2
-    (both rows and both columns have two entries; ties go to the lowest
-    index), which vanishes at the first interpolation point t = 2, so
-    Markowitz runs again there and only there."""
+    """det [[t - 2, 1, 0], [1, 2, 0], [0, 0, C]] = C(2t - 5), with C = 2^1105
+    large enough to put the pencil past the one-point cutoff.  The generic
+    order pivots on C (the shortest row), then on t - 2 (both rows and both
+    columns have two entries; ties go to the lowest index), which vanishes
+    at the first interpolation point t = 2, so Markowitz runs again there
+    and only there."""
+    c = 1 << 1105
+    rows = [[(0, -2, 1), (1, 1, 0)], [(0, 1, 0), (1, 2, 0)], [(2, c, 0)]]
+    assert sparse._digit_width(rows) * 4 + 1 >= sparse.ONE_POINT_MAX_EXPONENT
     calls = []
     markowitz = sparse._markowitz
-    monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append(rows) or markowitz(rows, p))
-    assert sparse.pencil_det([[(0, -2, 1), (1, 1, 0)], [(0, 1, 0), (1, 2, 0)]]) == [-5, 2, 0]
-    assert len(calls) == 2
-    assert calls[1] == [{1: 1}, {0: 1, 1: 2}]  # the matrix at t = 2
+    monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append((rows, p)) or markowitz(rows, p))
+    assert sparse.pencil_det(rows) == [-5 * c, 2 * c, 0, 0]
+    p = sparse.pencil_modulus(rows)
+    assert calls[1:] == [([{1: 1}, {0: 1, 1: 2}, {2: c % p}], p)]  # the matrix at t = 2
+
+
+def test_vanishing_pivot_at_the_one_point_reruns_markowitz(monkeypatch):
+    """At t = 2^K a replayed pivot vanishes only where the minor it stands
+    for is the zero polynomial, which the ordering run rules out; where the
+    replay fails all the same, Markowitz runs at 2^K mod the one-point
+    modulus."""
+    rows = [[(0, -2, 1), (1, 1, 0)], [(0, 1, 0), (1, 2, 0)]]
+    width = sparse._digit_width(rows)
+    p = sparse._mersenne_above(1 << width * 3)
+    calls = []
+    markowitz = sparse._markowitz
+    monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append((rows, p)) or markowitz(rows, p))
+    monkeypatch.setattr(sparse, "_replay", lambda compiled, t, p: None)
+    assert sparse.pencil_det(rows) == [-5, 2, 0]
+    t = 1 << width
+    assert calls[1:] == [([{0: t - 2, 1: 1}, {0: 1, 1: 2}], p)]
 
 
 def test_relation_minors_need_no_second_markowitz(monkeypatch, registry):
-    """No relation entry t, 1 - t or -1 vanishes at the interpolation points
-    t >= 2, so the generic pivot order replays at every point."""
+    """The generic pivot order replays at every point, on both paths: at
+    t = 2^K (no replayed pivot can vanish there, see above), and at the
+    points t >= 2 of P(-2,3,55), where no relation entry t, 1 - t or -1
+    vanishes."""
     diagrams = [build_diagram(pd, name) for name, pd in registry.items()]
     diagrams += [torus_diagram(TorusParams(5, 7)), pretzel_diagram(PretzelParams(21))]
+    diagrams += [pretzel_diagram(PretzelParams(55))]
     calls = []
     markowitz = sparse._markowitz
     monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append(rows) or markowitz(rows, p))
@@ -289,26 +382,46 @@ def test_relation_minors_need_no_second_markowitz(monkeypatch, registry):
 
 
 @pytest.mark.parametrize(
-    "diagram,closed_form,exponent",
+    "diagram,closed_form,points,exponent",
     [
-        (torus_diagram(TorusParams(2, 31)), torus_alexander(TorusParams(2, 31)), 61),
-        (pretzel_diagram(PretzelParams(33)), pretzel_alexander(PretzelParams(33)), 89),
-        (torus_diagram(TorusParams(5, 13)), torus_alexander(TorusParams(5, 13)), 107),
-        (pretzel_diagram(PretzelParams(55)), pretzel_alexander(PretzelParams(55)), 127),
-        (pretzel_diagram(PretzelParams(95)), pretzel_alexander(PretzelParams(95)), 521),
+        (torus_diagram(TorusParams(2, 31)), torus_alexander(TorusParams(2, 31)), 1, 1279),
+        (pretzel_diagram(PretzelParams(33)), pretzel_alexander(PretzelParams(33)), 1, 2203),
+        (torus_diagram(TorusParams(5, 13)), torus_alexander(TorusParams(5, 13)), 1, 4253),
+        (pretzel_diagram(PretzelParams(55)), pretzel_alexander(PretzelParams(55)), 59 + 1, 127),
+        (pretzel_diagram(PretzelParams(95)), pretzel_alexander(PretzelParams(95)), 99 + 1, 521),
     ],
     ids=["T(2,31)", "P(-2,3,33)", "T(5,13)", "P(-2,3,55)", "P(-2,3,95)"],
 )
-def test_first_minor_under_each_modulus(monkeypatch, diagram, closed_form, exponent):
-    """The coefficient bound of the minor picks 2^e - 1 for each of the
-    first five Mersenne exponents, and the reduced polynomial is the
-    closed form."""
-    moduli = []
-    modulus = sparse.pencil_modulus
-    monkeypatch.setattr(sparse, "pencil_modulus", lambda rows: moduli.append(modulus(rows)) or moduli[-1])
+def test_first_minor_under_each_modulus(monkeypatch, diagram, closed_form, points, exponent):
+    """Each minor is evaluated at one point below the cutoff, modulo the
+    Mersenne prime above its one-point bound, and past it at n + 1 points
+    modulo the prime above twice its 1-norm bound; the reduced polynomial
+    is the closed form."""
+    evaluations = []
+    det_values = sparse._det_values
+    monkeypatch.setattr(
+        sparse, "_det_values",
+        lambda rows, ts, p: evaluations.append((len(ts), p)) or det_values(rows, ts, p),
+    )
     minor = first_minor(alexander_matrix(diagram))
-    assert moduli == [(1 << exponent) - 1]
+    assert evaluations == [(points, (1 << exponent) - 1)]
     assert reduce_normalize(minor, components=1) == closed_form
+
+
+def test_ordering_mod_2_61_minus_1_keeps_the_order(monkeypatch, registry):
+    """The ordering run works mod 2^61 - 1.  On the registry's minors,
+    T(2,501) and P(-2,3,95) it picks the order the pencil's own 1-norm
+    modulus picks."""
+    diagrams = [build_diagram(pd, name) for name, pd in registry.items()]
+    diagrams += [torus_diagram(TorusParams(2, 501)), pretzel_diagram(PretzelParams(95))]
+    minors = []
+    monkeypatch.setattr(qfox.laurent, "pencil_det", lambda rows: minors.append(rows) or [1])
+    for d in diagrams:
+        first_minor(alexander_matrix(d))
+    for d, rows in zip(diagrams, minors, strict=True):
+        p = sparse.pencil_modulus(rows)
+        order = sparse._markowitz(sparse.pencil_at(rows, sparse._GENERIC_T, p), p)[1]
+        assert sparse._markowitz(sparse.pencil_at(rows, sparse._GENERIC_T, sparse._ORDER_P), sparse._ORDER_P)[1] == order, d.name
 
 
 def test_pencil_modulus_is_the_first_mersenne_prime_above_twice_the_bound():
