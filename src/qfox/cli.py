@@ -393,7 +393,8 @@ def cmd_families(args) -> int:
                     "kl": kl,
                 }
                 lines.append(
-                    f"at m={args.m}:        interval withheld ({exc}); kl bound {kl}"
+                    f"at m={args.m}:        interval withheld ({exc}); "
+                    f"kl bound {'-' if kl is None else kl}"
                 )
         _emit(args, payload, lines)
         return 0

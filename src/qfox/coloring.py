@@ -20,8 +20,9 @@ addition mod p; at larger p it is a plain list of colors.  Arcs with
 equal coordinates in step keep the differences of their colors along a
 line, so the largest such group's number of colors bounds every class on
 the line from below: the minimum search skips a line whose bound reaches
-the best count so far, and the all-distinct search skips a line where a
-group repeats a color, neither of which changes the class found.
+the best count so far, which does not change the class found.  A KH
+request never walks a line: at p = value(m) the kernel leaves one class
+(see kh_witness).
 
 The prefixes come in runs of p, x + c * inner with inner the last prefix
 vector, and across a run each group moves along a line of its own.  So one
@@ -243,30 +244,33 @@ def _mod_adder(p: int, q: int):
     return add
 
 
+def _without_constants(basis: list[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
+    """basis[1:], whose projective classes are the affine classes of
+    non-constant colorings: each basis vector is 1 on its own free column
+    and 0 on the other free columns, so the all-ones vector, always in the
+    kernel, is the sum of the basis and can replace basis[0]."""
+    if any(sum(col) % p != 1 for col in zip(*basis)):
+        raise ColoringError("internal inconsistency: constant vectors not in kernel")
+    return basis[1:]
+
+
 def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
     """Yield (offsets, counts, colors, step) for runs of affine classes of
     non-constant colorings, in walk order: counts[i] is the number of colors
     of the class colors + offsets[i] * step.  Each run is a line of
-    _walk_lines, and lines that walk_line(lower, upper) turns down are left
-    out; the last run is the class of rest[-1] alone.  A class of a line
-    missing from offsets has max(counts) colors and follows a listed class
-    with that many, so the first class of a run with a given count is always
-    listed.  When walk_line takes (lower, upper), it must also take every
-    pair with a lower bound no higher and an upper bound no lower, and a
-    pair it turns down must stay turned down for the rest of the walk: one
-    answer can skip a whole run of lines.  At p >= 2^63, where a line alone
-    is more than 2^63 classes, a search with lines raises ColoringError."""
+    _walk_lines, and lines whose lower bound walk_line(lower) turns down are
+    left out; the last run is the class of rest[-1] alone.  A class of a
+    line missing from offsets has max(counts) colors and follows a listed
+    class with that many, so the first class of a run with a given count is
+    always listed.  When walk_line takes a bound, it must also take every
+    lower one, and a bound it turns down must stay turned down for the rest
+    of the walk: one answer can skip a whole run of lines.  At p >= 2^63,
+    where a line alone is more than 2^63 classes, a search with lines
+    raises ColoringError."""
     p = params.n
-    basis = kernel_basis(coloring_matrix(d, params))
-    if len(basis) < 2:
+    rest = _without_constants(kernel_basis(coloring_matrix(d, params)), p)
+    if not rest:
         return
-    # Each basis vector is 1 on its own free column and 0 on the other free
-    # columns, so the all-ones vector, which is always in the kernel, is the
-    # sum of the basis.  It can then replace basis[0], and quotienting by it
-    # turns affine classes into projective classes of the span of the rest.
-    if any(sum(col) % p != 1 for col in zip(*basis)):
-        raise ColoringError("internal inconsistency: constant vectors not in kernel")
-    rest = basis[1:]
     if len(rest) > 1:
         if p >> 63:
             raise ColoringError(f"orbit search at p={p} would walk at least 2^63 affine classes")
@@ -284,24 +288,24 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, walk_line):
 
     Along a line, arcs with equal coordinates in rest[-1] move by the same
     amount, so each such group keeps its number of distinct colors.  The
-    largest is a lower bound on the count of every class on the line, and
-    their sum an upper bound; walk_line(lower, upper) says whether to walk
-    the line.  For p < 128 a prefix is packed a byte per arc, and a walked
-    line is counted by _bitmask_lines, which may turn it down on a second
-    bound; at larger p a prefix is a color list, and _meeting_lines counts.
+    largest is a lower bound on the count of every class on the line;
+    walk_line(lower) says whether to walk the line.  For p < 128 a prefix is
+    packed a byte per arc, and a walked line is counted by _bitmask_lines,
+    which may turn it down on a second bound; at larger p a prefix is a
+    color list, and _meeting_lines counts.
 
     The prefixes come in runs of p, base + c * inner for c = 0..p-1, where
     inner = rest[-2] is the innermost prefix vector, and each group moves
     along a line of its own across a run.  So one count per group
     (_group_runs) gives the group bounds of every prefix of a run at once;
-    where walk_line turns down the run's weakest pair, the whole run is
+    where walk_line turns down the run's weakest bound, the whole run is
     skipped, and otherwise only the prefixes whose bounds it still takes
     are stepped to.  Before any group is counted, walk_line is asked about
-    the strongest pair a count could give, (largest group, lone arcs +
-    groups): where it takes that, it takes every prefix's bounds, and none
-    is counted.  Building the run counter costs about p prefix bounds, so
-    runs are bounded a prefix at a time, with one set per group, until p
-    prefixes have been, and so is the lone last prefix."""
+    the strongest bound a count could give, the largest group's size: where
+    it takes that, it takes every prefix's bound, and none is counted.
+    Building the run counter costs about p prefix bounds, so runs are
+    bounded a prefix at a time, with one set per group, until p prefixes
+    have been, and so is the lone last prefix."""
     q = len(rest[-1])
     bitmask = p < 128
     if bitmask:
@@ -315,8 +319,7 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, walk_line):
         groups.setdefault(c, []).append(i)
     shared = [g for g in groups.values() if len(g) > 1]
     getters = [itemgetter(*g) for g in shared]
-    lone = q - sum(map(len, shared))
-    probe = (max(map(len, shared), default=1), lone + len(shared))
+    probe = max(map(len, shared), default=1)
     count_line = (_bitmask_lines if bitmask else _meeting_lines)(rest[-1], p)
     group_runs = None
     bounded = 0         # prefixes bounded one at a time
@@ -333,9 +336,9 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, walk_line):
             x, at = base, 0     # the prefix stepped to last, base + at * inner
             for c in range(size):
                 by_sets = False
-                if lowers is None and not walk_line(*probe):
+                if lowers is None and not walk_line(probe):
                     if not shared:
-                        break       # the probe is every prefix's bounds
+                        break       # the probe is every prefix's bound
                     if one_by_one is None:
                         one_by_one = bounded < p or size == 1
                     if one_by_one:
@@ -345,19 +348,17 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, walk_line):
                         if group_runs is None:
                             group_runs = _group_runs(shared, rest[-2], p, bitmask)
                         per_group = group_runs(read(base))
-                        if not walk_line(max(map(min, per_group)), lone + sum(map(max, per_group))):
+                        if not walk_line(max(map(min, per_group))):
                             break
                         lowers = [max(t) for t in zip(*per_group)]
-                        uppers = [lone + sum(t) for t in zip(*per_group)]
-                if lowers is not None and not walk_line(lowers[c], uppers[c]):
+                if lowers is not None and not walk_line(lowers[c]):
                     continue
                 while at < c:
                     x = add(x, inner)
                     at += 1
                 colors = read(x)
                 if by_sets:
-                    distinct = [len(set(get(colors))) for get in getters]
-                    if not walk_line(max(distinct), lone + sum(distinct)):
+                    if not walk_line(max([len(set(get(colors))) for get in getters])):
                         continue
                 run = count_line(colors, walk_line)
                 if run is not None:
@@ -429,23 +430,21 @@ def _bitmask_lines(steps: Sequence[int], p: int):
     None.  The (step coordinate, color) pairs of the arcs, ordered by step
     coordinate, are ORed into one mask of shifted row patterns (see the
     module docstring).  After the first cut of them, a share _PARTIAL of
-    the arcs, the row counts of the partial mask, the least of them and the
-    greatest plus the arcs still to come, bound every class on the line;
-    walk_line(lower, upper) can turn the line down there, before the rest
-    is ORed in.  Each row of the partial mask has between 1 and cut colors,
-    so where walk_line takes (cut, 1 + the arcs to come), no partial count
-    can turn the line down, and none is made."""
+    the arcs, the least row count of the partial mask bounds every class on
+    the line from below; walk_line(lower) can turn the line down there,
+    before the rest is ORed in.  Each row of the partial mask has at most
+    cut colors, so where walk_line takes cut, no partial count can turn the
+    line down, and none is made."""
     patterns = _row_patterns(steps, p)
     row_counts = _row_counter(p, p)
     cut = max(1, int(len(steps) * _PARTIAL))
-    rest = len(steps) - cut
     offsets = range(p)
     split = None
 
     def count(fields, walk_line):
         nonlocal split
         mask = 0
-        if walk_line(cut, 1 + rest):
+        if walk_line(cut):
             for s, a in zip(steps, fields):
                 mask |= patterns[s] << a
             return offsets, list(row_counts(mask))
@@ -458,8 +457,7 @@ def _bitmask_lines(steps: Sequence[int], p: int):
         first, first_steps, second, second_steps = split
         for s, a in zip(first_steps, first(fields)):
             mask |= patterns[s] << a
-        partial = row_counts(mask)
-        if not walk_line(min(partial), max(partial) + rest):
+        if not walk_line(min(row_counts(mask))):
             return None
         for s, a in zip(second_steps, second(fields)):
             mask |= patterns[s] << a
@@ -549,16 +547,6 @@ def _meeting_lines(steps: Sequence[int], p: int):
     return count
 
 
-def _witness(
-    d: Diagram, params: QuandleParams, colors: Sequence[int], step: Sequence[int], c: int
-) -> Coloring:
-    """The coloring of the class colors + c * step of _orbit_walk, in
-    canonical form."""
-    p = params.n
-    v = [(a + c * s) % p for a, s in zip(colors, step)]
-    return Coloring(p, params.m, dict(zip(d.arcs, _affine_canonical(v, p))))
-
-
 def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Coloring]:
     """Fewest distinct colors over all non-trivial colorings of this diagram.
 
@@ -571,7 +559,7 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
     # A line whose lower bound reaches the best count holds no class with
     # fewer colors, so skipping it keeps the first minimum as the witness.
     for offsets, counts, colors, step in _orbit_walk(
-        d, params, lambda lower, upper: best is None or lower < best[0]
+        d, params, lambda lower: best is None or lower < best[0]
     ):
         count = min(counts)
         if best is None or count < best[0]:
@@ -591,7 +579,8 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
                 f"internal inconsistency: {count} colors is below the "
                 f"Kauffman-Lopes bound {kl} for p={p}, m={m}"
             )
-    return count, _witness(d, params, colors, step, c)
+    v = [(a + c * s) % p for a, s in zip(colors, step)]
+    return count, Coloring(p, m, dict(zip(d.arcs, _affine_canonical(v, p))))
 
 
 def coloring_from_anchors(
@@ -655,6 +644,17 @@ def kh_witness(
     (asserted by the caller, not detected here), 1 < m < p, and p is the
     prime value of the reduced polynomial at m.  The answer is about the
     diagram as given, not about all diagrams of the underlying knot.
+
+    At such a p the kernel has dimension at most 2, so no class is walked.
+    At t = m the first minor is +-m^j value(m) for a knot and
+    +-m^j (1 - m) value(m) for a link, and 1 < m < p, so p divides it
+    exactly once.  The Smith invariants d_1 | ... | d_n of the integer
+    matrix A + mB have d_n = 0, as the constants color, and d_1 ... d_(n-1),
+    the gcd of the first minors, divides this one.  So p divides at most one
+    of d_1 .. d_(n-1), and A + mB has rank at least n - 2 mod p: the
+    constants and at most one affine class, returned in canonical form when
+    its colors are pairwise distinct.  A larger kernel raises ColoringError
+    as an internal inconsistency.
     """
     if not reduced_alternating:
         raise ColoringError(
@@ -672,18 +672,15 @@ def kh_witness(
         raise ColoringError(
             f"KH check needs p equal to the reduced value at m: value {value}, p {p}"
         )
-    return _first_all_distinct(d, params)
-
-
-def _first_all_distinct(d: Diagram, params: QuandleParams) -> Coloring | None:
-    """The first class of the orbit walk with pairwise distinct colors on
-    all arcs, in canonical form, or None.  A line on which some group of
-    _walk_lines repeats a color holds no such class."""
-    q = len(d.arcs)
-    for offsets, counts, colors, step in _orbit_walk(d, params, lambda lower, upper: upper == q):
-        if q in counts:
-            return _witness(d, params, colors, step, offsets[counts.index(q)])
-    return None
+    basis = kernel_basis(coloring_matrix(d, params))
+    if len(basis) > 2:
+        raise ColoringError(
+            f"internal inconsistency: kernel dimension {len(basis)} at p = value(m) = {p}"
+        )
+    rest = _without_constants(basis, p)
+    if not rest or len(set(rest[0])) < len(rest[0]):
+        return None
+    return Coloring(p, m, dict(zip(d.arcs, _affine_canonical(rest[0], p))))
 
 
 # ---------------------------------------------------------------------------

@@ -58,18 +58,6 @@ class LaurentPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls((1,))
-
-    @classmethod
-    def t(cls) -> "LaurentPoly":
-        return cls((1,), 1)
-
-    @classmethod
     def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LaurentPoly":
         """Build from {exponent: coefficient} or an iterable of (exp, coeff)."""
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -107,22 +95,8 @@ class LaurentPoly:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.degree, other.degree)
-        return LaurentPoly(
-            tuple([self.coeff(e) + other.coeff(e) for e in range(lo, hi + 1)]), lo
-        )
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple([-c for c in self.coeffs]), self.min_exp)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:

@@ -6,12 +6,13 @@ computes it in integers, one dense Bareiss determinant (det_int) at each of
 t = 0..n and exact Newton interpolation (_newton_expand) with every
 division checked, and det_bareiss and det_cofactor compute the same
 polynomial directly, by fraction-free elimination over Z[t] and by cofactor
-expansion.  alexander_matrix_reference builds the dense
-relation matrix from LaurentPoly arithmetic, against the sparse (column,
-a, b) triples of qfox.laurent.alexander_matrix and their values at t = m
-mod p (qfox.sparse.pencil_at), and is the source of every Z[t] matrix and
-every dense integer row the tests need.  kernel_vectors lists every
-coloring that the orbit search walks up to the affine action,
+expansion, in RingPoly: LaurentPoly with the sums, differences and
+constants 0, 1 and t that no package code uses.  alexander_matrix_reference
+builds the dense relation matrix from RingPoly arithmetic, against the
+sparse (column, a, b) triples of qfox.laurent.alexander_matrix and their
+values at t = m mod p (qfox.sparse.pencil_at), and is the source of every
+Z[t] matrix and every dense integer row the tests need.  kernel_vectors
+lists every coloring that the orbit search walks up to the affine action,
 enumerate_colorings_brute lists them by exhaustive search, and
 orbit_representatives is the walk itself on plain lists, one class at a
 time with no line skipped, against the packed walk of
@@ -154,14 +155,55 @@ def det_pencil(a: list[list[int]], b: list[list[int]]) -> LaurentPoly:
     return LaurentPoly(_newton_expand(values))
 
 
+class RingPoly(LaurentPoly):
+    """LaurentPoly with the sums, differences and constants 0, 1 and t that
+    only the Z[t] oracles use.  Products and negations stay RingPoly, and a
+    RingPoly equals the LaurentPoly with the same terms."""
+
+    @classmethod
+    def of(cls, p: LaurentPoly) -> "RingPoly":
+        return cls(p.coeffs, p.min_exp)
+
+    @classmethod
+    def zero(cls) -> "RingPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "RingPoly":
+        return cls((1,))
+
+    @classmethod
+    def t(cls) -> "RingPoly":
+        return cls((1,), 1)
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return (self.coeffs, self.min_exp) == (other.coeffs, other.min_exp)
+
+    __hash__ = LaurentPoly.__hash__
+
+    def __add__(self, other: LaurentPoly) -> "RingPoly":
+        return RingPoly.from_terms(self.terms() + other.terms())
+
+    def __neg__(self) -> "RingPoly":
+        return RingPoly(tuple([-c for c in self.coeffs]), self.min_exp)
+
+    def __sub__(self, other: LaurentPoly) -> "RingPoly":
+        return self + -other
+
+    def __mul__(self, other: LaurentPoly) -> "RingPoly":
+        return RingPoly.of(LaurentPoly.__mul__(self, other))
+
+
 def det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Fraction-free determinant over Z[t].  Entries must have min_exp >= 0."""
     n = len(rows)
     if n == 0:
-        return LaurentPoly.one()
-    m = [list(r) for r in rows]
+        return RingPoly.one()
+    m = [[RingPoly.of(x) for x in r] for r in rows]
     sign = 1
-    prev = LaurentPoly.one()
+    prev = RingPoly.one()
     for k in range(n - 1):
         if m[k][k].is_zero:
             for r in range(k + 1, n):
@@ -170,11 +212,11 @@ def det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
                     sign = -sign
                     break
             else:
-                return LaurentPoly.zero()
+                return RingPoly.zero()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = LaurentPoly.zero()
+                m[i][j] = RingPoly.of(exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev))
+            m[i][k] = RingPoly.zero()
         prev = m[k][k]
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
@@ -183,10 +225,10 @@ def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Determinant by cofactor expansion.  Exponential; small matrices only."""
     n = len(rows)
     if n == 0:
-        return LaurentPoly.one()
+        return RingPoly.one()
     if n == 1:
         return rows[0][0]
-    acc = LaurentPoly.zero()
+    acc = RingPoly.zero()
     for j, head in enumerate(rows[0]):
         if head.is_zero:
             continue
@@ -201,11 +243,11 @@ def alexander_matrix_reference(d) -> tuple[tuple[LaurentPoly, ...], ...]:
     arithmetic: t, 1-t, -1 on the incoming under-arc, the over-arc and the
     outgoing under-arc, under-arc roles swapped at negative crossings."""
     col = {arc: i for i, arc in enumerate(d.arcs)}
-    t = LaurentPoly.t()
-    one = LaurentPoly.one()
+    t = RingPoly.t()
+    one = RingPoly.one()
     rows = []
     for c in d.crossings:
-        row = [LaurentPoly.zero()] * len(d.arcs)
+        row = [RingPoly.zero()] * len(d.arcs)
         x_in, x_out = (c.under_in, c.under_out) if c.sign > 0 else (c.under_out, c.under_in)
         row[col[x_in]] = row[col[x_in]] + t
         row[col[c.over]] = row[col[c.over]] + (one - t)

@@ -366,6 +366,16 @@ def test_families_torus_intervals(capsys):
     assert payload["at_m"] == {"m": 2, "p": 43, "lower": 7, "upper": 7}
 
 
+@pytest.mark.parametrize("m", ["1", "0"])
+def test_families_marks_a_withheld_kl_bound_with_a_dash(capsys, m):
+    """At m = 1 and m = 0 the value is 1 and no bound exists: the text line
+    shows the mark of bounds --scan tables, and JSON keeps null."""
+    rc, out, _ = run(capsys, "families", "torus:2,5", "--m", m)
+    assert rc == 0
+    assert out.splitlines()[-1].endswith("; kl bound -") and "None" not in out
+    assert run_json(capsys, "families", "torus:2,5", "--m", m)["at_m"]["kl"] is None
+
+
 def test_families_pretzel_report(capsys):
     rc, out, _ = run(capsys, "families", "pretzel:5", "--m", "2")
     assert rc == 0

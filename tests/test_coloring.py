@@ -6,7 +6,7 @@ import time
 from itertools import product
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qfox import (
@@ -21,6 +21,7 @@ from qfox import (
     coloring_matrix,
     first_minor,
     get_diagram,
+    is_odd_prime,
     kernel_basis,
     kh_witness,
     kl_lower_bound,
@@ -38,7 +39,6 @@ from qfox.coloring import (
     ModMatrix,
     _affine_canonical,
     _bitmask_lines,
-    _first_all_distinct,
     _group_runs,
     _meeting_lines,
     _mod_adder,
@@ -469,8 +469,7 @@ def test_affine_canonical_rejects_constant_vector():
 
 def _assert_walk_matches_oracle(d, params):
     """The count and canonical witness of min_colors_on_diagram are the
-    oracle's first minimum, and the all-distinct search of kh_witness finds
-    the oracle's first all-distinct class."""
+    oracle's first minimum."""
     want = first_minimum(d, params)
     if want is None:
         with pytest.raises(ColoringError, match="no non-trivial coloring"):
@@ -478,9 +477,6 @@ def _assert_walk_matches_oracle(d, params):
     else:
         count, witness = min_colors_on_diagram(d, params)
         assert (count, tuple(witness.colors[a] for a in d.arcs)) == want
-    found = _first_all_distinct(d, params)
-    got = None if found is None else tuple(found.colors[a] for a in d.arcs)
-    assert got == first_all_distinct(d, params)
 
 
 def _odd_prime_factors(value, limit):
@@ -561,7 +557,7 @@ def test_walk_visits_the_oracle_classes_in_order(ns, p, m):
     d = _sum(*ns)
     params = QuandleParams(p, m)
     last = kernel_basis(coloring_matrix(d, params))[-1]
-    runs = list(_orbit_walk(d, params, lambda lower, upper: True))
+    runs = list(_orbit_walk(d, params, lambda lower: True))
     walked = []
     for i, (offsets, counts, colors, step) in enumerate(runs):
         classes = p if i < len(runs) - 1 else 1
@@ -595,39 +591,36 @@ def test_line_counts_match_the_unpacked_classes(line):
     """The bitmask counts of a line are len(set(...)) of each class
     x + c * step."""
     p, steps, base = line
-    offsets, counts = _bitmask_lines(steps, p)(base, lambda lower, upper: True)
+    offsets, counts = _bitmask_lines(steps, p)(base, lambda lower: True)
     want = [len({(a + c * s) % p for a, s in zip(base, steps)}) for c in range(p)]
     assert list(offsets) == list(range(p)) and counts == want
 
 
-@example((3, [1, 2, 0], [0, 0, 2], 1, 2))
-@example((5, [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], 3, 10))   # every partial row has cut colors
+@example((3, [1, 2, 0], [0, 0, 2], 1))
+@example((5, [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], 3))   # every partial row has cut colors
 @settings(max_examples=200, deadline=None)
-@given(random_lines().flatmap(lambda line: st.tuples(
-    *map(st.just, line), st.integers(0, line[0]), st.integers(0, 2 * len(line[1])))))
+@given(random_lines().flatmap(lambda line: st.tuples(*map(st.just, line), st.integers(0, line[0]))))
 def test_half_line_bounds_hold_on_every_class(case):
     """_bitmask_lines first asks walk_line whether the most a partial mask
-    of cut arcs could show, (cut, 1 + the arcs to come), would turn the
-    line down.  Only then does it count the partial mask, and those bounds
-    hold on every class of the line and lie within the first ones.  A line
-    turned down gives no run."""
-    p, steps, base, floor, ceiling = case
+    of cut arcs could show, cut colors, would turn the line down.  Only
+    then does it count the partial mask, and that bound holds on every
+    class of the line and is no more than cut.  A line turned down gives no
+    run."""
+    p, steps, base, floor = case
     seen = []
 
-    def walk_line(lower, upper):
-        seen.append((lower, upper))
-        return lower < floor or upper >= ceiling
+    def walk_line(lower):
+        seen.append(lower)
+        return lower < floor
 
     run = _bitmask_lines(steps, p)(base, walk_line)
     want = [len({(a + c * s) % p for a, s in zip(base, steps)}) for c in range(p)]
     probe, *checks = seen
-    cut = max(1, int(len(steps) * coloring._PARTIAL))
-    assert probe == (cut, 1 + len(steps) - cut)
-    assert len(checks) == (0 if walk_line(*probe) else 1)
-    for lower, upper in checks:
-        assert lower <= min(want) and max(want) <= upper
-        assert lower <= probe[0] and upper >= probe[1]
-    if all(walk_line(*bounds) for bounds in checks):
+    assert probe == max(1, int(len(steps) * coloring._PARTIAL))
+    assert len(checks) == (0 if walk_line(probe) else 1)
+    for lower in checks:
+        assert lower <= min(want) and lower <= probe
+    if all(map(walk_line, checks)):
         assert run[1] == want
     else:
         assert run is None
@@ -662,7 +655,7 @@ def test_meeting_counts_match_the_unpacked_classes(line):
     """The meeting counts of a line, expanded to every c, are len(set(...))
     of each class x + c * step."""
     p, steps, base = line
-    offsets, counts = _meeting_lines(steps, p)(base, lambda lower, upper: True)
+    offsets, counts = _meeting_lines(steps, p)(base, lambda lower: True)
     want = [len({(a + c * s) % p for a, s in zip(base, steps)}) for c in range(p)]
     assert _expand(offsets, counts, p) == want
 
@@ -758,7 +751,6 @@ def _prefix_walk(rest, p, walk_line):
     for i, s in enumerate(rest[-1]):
         groups.setdefault(s, []).append(i)
     shared = [g for g in groups.values() if len(g) > 1]
-    lone = len(groups) - len(shared)
     count_line = (_bitmask_lines if p < 128 else _meeting_lines)(rest[-1], p)
     for j in range(len(rest) - 1):
         middle = rest[j + 1:-1]
@@ -766,8 +758,7 @@ def _prefix_walk(rest, p, walk_line):
             x = list(rest[j])
             for c, v in zip(coefficients, middle):
                 x = [(a + c * s) % p for a, s in zip(x, v)]
-            distinct = [len({x[i] for i in g}) for g in shared]
-            if walk_line(max(distinct, default=1), lone + sum(distinct)):
+            if walk_line(max([len({x[i] for i in g}) for g in shared], default=1)):
                 colors = bytes(x) if p < 128 else x
                 run = count_line(colors, walk_line)
                 if run is not None:
@@ -780,29 +771,29 @@ RUN_CASES = [((3, 3, 3, 3), 3, 2), ((3, 3, 3, 3, 3), 3, 2), ((5, 5, 5, 5), 11, 2
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(RUN_CASES), st.integers(1, 16), st.integers(1, 21))
-def test_run_bounds_yield_what_prefix_bounds_yield(case, floor, ceiling):
-    """With walk_line(lower, upper) = lower < floor or upper >= ceiling,
-    the walk yields exactly the lines of a walk that bounds each prefix
-    on its own: the run bounds, the probe and the skipped runs change
-    which prefixes are looked at, never which lines are counted."""
+@given(st.sampled_from(RUN_CASES), st.integers(1, 16))
+def test_run_bounds_yield_what_prefix_bounds_yield(case, floor):
+    """With walk_line(lower) = lower < floor, the walk yields exactly the
+    lines of a walk that bounds each prefix on its own: the run bounds, the
+    probe and the skipped runs change which prefixes are looked at, never
+    which lines are counted."""
     ns, p, m = case
     rest = kernel_basis(coloring_matrix(_sum(*ns), QuandleParams(p, m)))[1:]
 
-    def walk_line(lower, upper):
-        return lower < floor or upper >= ceiling
+    def walk_line(lower):
+        return lower < floor
 
     assert list(coloring._walk_lines(rest, p, walk_line)) == list(_prefix_walk(rest, p, walk_line))
 
 
-@pytest.mark.parametrize("floor,ceiling", [(2, 13), (3, 13), (4, 12)])
-def test_wide_field_run_bounds_yield_what_prefix_bounds_yield(floor, ceiling):
+@pytest.mark.parametrize("floor", [2, 3, 4])
+def test_wide_field_run_bounds_yield_what_prefix_bounds_yield(floor):
     """The same on color lists, on 4 x T(2,3) at (157, 13): 24,807 lines,
     whose runs are bounded from their groups' meetings."""
     rest = kernel_basis(coloring_matrix(_sum(3, 3, 3, 3), QuandleParams(157, 13)))[1:]
 
-    def walk_line(lower, upper):
-        return lower < floor or upper >= ceiling
+    def walk_line(lower):
+        return lower < floor
 
     assert list(coloring._walk_lines(rest, 157, walk_line)) == list(_prefix_walk(rest, 157, walk_line))
 
@@ -850,19 +841,6 @@ def test_run_bounds_keep_the_first_minimum(monkeypatch, word, p, m, by_runs):
         assert 0 < calls["lines"] < p * calls["runs"]
 
 
-def test_all_distinct_search_matches_the_oracle_past_dimension_three(monkeypatch):
-    """The all-distinct search bounds runs by their groups' upper bounds:
-    on 4 x T(2,3) at (13, 4), kernel dimension 5, and on 5 x T(2,5) at
-    (11, 2), dimension 6, it agrees with the oracle, and counts runs."""
-    calls = _count_runs_and_lines(monkeypatch)
-    for d, params in [(_sum(3, 3, 3, 3), QuandleParams(13, 4)), (_sum(5, 5, 5, 5, 5), QuandleParams(11, 2))]:
-        assert len(kernel_basis(coloring_matrix(d, params))) >= 5
-        found = _first_all_distinct(d, params)
-        got = None if found is None else tuple(found.colors[a] for a in d.arcs)
-        assert got == first_all_distinct(d, params)
-    assert calls["runs"] > 0
-
-
 def test_a_wide_field_line_is_counted_from_its_meetings():
     """2 x T(2,7) at m = 10 has kernel dimension 3 at p = 909,091: one line
     of p classes, counted from where arc colors meet, not class by class."""
@@ -885,7 +863,7 @@ def test_the_minimum_is_read_at_its_offset(monkeypatch):
     rest = kernel_basis(coloring_matrix(d, params))[1:]
     steps = rest[-1]
     base = [(a + 2 * s) % p for a, s in zip(rest[0], steps)]
-    offsets, counts = _meeting_lines(steps, p)(base, lambda lower, upper: True)
+    offsets, counts = _meeting_lines(steps, p)(base, lambda lower: True)
     every = _expand(offsets, counts, p)
     c = every.index(min(every))
     assert (c, offsets.index(c)) == (272, 39)
@@ -903,6 +881,62 @@ def test_kh_witness_is_the_first_all_distinct_class():
         found = kh_witness(d, QuandleParams(p, m), reduced_alternating=True)
         got = None if found is None else tuple(found.colors[a] for a in d.arcs)
         assert got == first_all_distinct(d, QuandleParams(p, m))
+
+
+@st.composite
+def prime_value_cases(draw):
+    """The closure of a braid word on 2 to 5 strands, a knot or a link, at
+    an m in 2..7 where the reduced value is an odd prime p > m: about one
+    word in five has one."""
+    strands = draw(st.integers(2, 5))
+    codes = draw(st.lists(st.integers(0, 2 * strands - 3), min_size=strands - 1, max_size=12))
+    word = [(k // 2 + 1) * (-1) ** k for k in codes]
+    try:
+        d = braid_closure(word, name=str(word))
+        red = reduce_normalize(first_minor(alexander_matrix(d)), d.components)
+    except QfoxError:
+        assume(False)  # a strand left out, or a split closure
+    ms = [m for m in range(2, 8) if m < red.evaluate(m) and is_odd_prime(red.evaluate(m))]
+    assume(ms)
+    m = draw(st.sampled_from(ms))
+    return d, QuandleParams(red.evaluate(m), m)
+
+
+@example((braid_closure([1, 1, 1]), QuandleParams(3, 2)))
+@example((braid_closure([1, -2, 1, -2]), QuandleParams(5, 4)))
+@example((braid_closure([1, 1, 1, 1]), QuandleParams(5, 2)))     # L4a1
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(prime_value_cases())
+def test_a_prime_value_leaves_one_class(case):
+    """At p = value(m), the kernel has dimension 2, the constants and one
+    affine class, and kh_witness reads the oracle's first all-distinct
+    class off that class."""
+    d, params = case
+    assert len(kernel_basis(coloring_matrix(d, params))) == 2
+    found = kh_witness(d, params, reduced_alternating=True)
+    got = None if found is None else tuple(found.colors[a] for a in d.arcs)
+    assert got == first_all_distinct(d, params)
+
+
+def test_kh_witness_checks_the_kernel(monkeypatch):
+    d, params = torus_diagram(TorusParams(2, 5)), QuandleParams(11, 2)
+    real = coloring.kernel_basis
+
+    def third_vector(mat):
+        basis = real(mat)
+        return basis + [basis[-1]]
+
+    monkeypatch.setattr(coloring, "kernel_basis", third_vector)
+    with pytest.raises(ColoringError, match="internal inconsistency: kernel dimension 3"):
+        kh_witness(d, params, reduced_alternating=True)
+
+    def first_vector_doubled(mat):
+        basis = real(mat)
+        return [tuple(2 * x for x in basis[0])] + basis[1:]
+
+    monkeypatch.setattr(coloring, "kernel_basis", first_vector_doubled)
+    with pytest.raises(ColoringError, match="constant vectors not in kernel"):
+        kh_witness(d, params, reduced_alternating=True)
 
 
 @pytest.mark.parametrize("p", BITMASK_PRIMES)
@@ -931,8 +965,6 @@ def test_orbit_search_past_64_bit_fields_raises():
     assert len(kernel_basis(coloring_matrix(d, params))) == 3
     with pytest.raises(ColoringError, match="2\\^63"):
         min_colors_on_diagram(d, params)
-    with pytest.raises(ColoringError, match="2\\^63"):
-        _first_all_distinct(d, params)
     # One class is no line: the trefoil alone is fine at this p.
     count, witness = min_colors_on_diagram(braid_closure([1, 1, 1]), params)
     assert count == 3 and verify_coloring(braid_closure([1, 1, 1]), witness)
