@@ -4,11 +4,11 @@ The quandle operation is x * y = m x + (1 - m) y (mod n) with m a unit of
 Z_n; m = -1 gives the dihedral operation 2y - x.  Colorings of a diagram
 are exactly the kernel vectors of the relation pencil (alexander_matrix)
 at t = m, reduced mod n, so for prime n everything reduces to linear
-algebra over a field: the kernel and the coloring pinned by anchors are
-read off the column-ordered sparse echelon form of qfox.sparse by back
-substitution, and the collapse checks, which sum the pencil at t = m per
-color class, take their pivot rows and det B from the same elimination, run
-mod a prime above twice a Hadamard bound on the collapsed matrix.
+algebra over a field: the kernel is read off the column-ordered sparse
+echelon form of qfox.sparse by back substitution, and the collapse checks,
+which sum the pencil at t = m per color class, take their pivot rows and
+det B from the same elimination, run mod a prime above twice a Hadamard
+bound on the collapsed matrix.
 
 Minimum-color search walks the non-trivial kernel vectors up to the affine
 action  v -> a v + b  (a unit, b anything), which preserves both validity
@@ -168,43 +168,30 @@ def coloring_matrix(d: Diagram, params: QuandleParams) -> ModMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _require_prime_modulus(p: int) -> None:
+def kernel_basis(mat: ModMatrix) -> list[tuple[int, ...]]:
+    """Basis of the null space over Z_p, p = 2 or an odd prime, one vector
+    per free column: 1 on its own free column and 0 on the others."""
+    p = mat.modulus
     if not is_odd_prime(p) and p != 2:
         raise ColoringError(f"kernel computation needs a prime modulus, got {p}")
-
-
-def _back_substitute(
-    pivots: list[tuple[int, int]], reduced: list[dict[int, int]], known: dict[int, list[int]], p: int
-) -> dict[int, list[int]]:
-    """Extend k vectors, given column by column in `known` on non-pivot
-    columns (an absent column is 0 in all of them), to the pivot columns of
-    an echelon form so that every reduced row vanishes on each.  All k are
-    solved in one pass, so each pivot is inverted once."""
-    zero = [0] * len(next(iter(known.values())))
-    for (_, j), row in zip(reversed(pivots), reversed(reduced)):
-        # known has no entry at j yet, and a row's other columns come after j.
-        acc = zero
-        for jj, x in row.items():
-            if jj != j:
-                acc = [a + x * v for a, v in zip(acc, known.get(jj, zero))]
-        scale = -pow(row[j], -1, p)
-        known[j] = [a * scale % p for a in acc]
-    return known
-
-
-def kernel_basis(mat: ModMatrix) -> list[tuple[int, ...]]:
-    """Basis of the null space over Z_p, one vector per free column: 1 on
-    its own free column and 0 on the others."""
-    _require_prime_modulus(mat.modulus)
-    p = mat.modulus
     pivots, reduced, _ = echelon(mat.rows, p)
     ncols = len(mat.arc_labels)
     pivot_cols = {j for _, j in pivots}
     free = [f for f in range(ncols) if f not in pivot_cols]
     if not free:
         return []
-    known = {f: [int(i == k) for i in range(len(free))] for k, f in enumerate(free)}
-    columns = _back_substitute(pivots, reduced, known, p)
+    # columns[j] is coordinate j of every basis vector.  The pivot columns
+    # come by back substitution, last first, so each pivot is inverted once.
+    columns = {f: [int(i == k) for i in range(len(free))] for k, f in enumerate(free)}
+    zero = [0] * len(free)
+    for (_, j), row in zip(reversed(pivots), reversed(reduced)):
+        # columns has no entry at j yet, and a row's other columns come after j.
+        acc = zero
+        for jj, x in row.items():
+            if jj != j:
+                acc = [a + x * v for a, v in zip(acc, columns[jj])]
+        scale = -pow(row[j], -1, p)
+        columns[j] = [a * scale % p for a in acc]
     return list(zip(*[columns[j] for j in range(ncols)]))
 
 
@@ -583,38 +570,6 @@ def min_colors_on_diagram(d: Diagram, params: QuandleParams) -> tuple[int, Color
     return count, Coloring(p, m, dict(zip(d.arcs, _affine_canonical(v, p))))
 
 
-def coloring_from_anchors(
-    d: Diagram, params: QuandleParams, anchors: dict[int, int]
-) -> Coloring:
-    """The unique coloring taking prescribed values on the anchor arcs.
-
-    Eliminates the relation rows at t = m, with a zero right-hand side in
-    column q (the arc count), together with one unit row per anchor; raises
-    when the constraints are inconsistent or leave freedom (the anchors
-    must pin the kernel down).
-    """
-    p = params.n
-    _require_prime_modulus(p)
-    q = len(d.arcs)
-    if not q:
-        raise ColoringError("kernel is trivial; no colorings at all")
-    col_of = {arc: i for i, arc in enumerate(d.arcs)}
-    rows = coloring_matrix(d, params).rows
-    for arc, val in sorted(anchors.items()):
-        if arc not in col_of:
-            raise ColoringError(f"anchor arc {arc} is not an arc of the diagram")
-        rows.append({j: v for j, v in ((col_of[arc], 1), (q, val % p)) if v})
-    pivots, reduced, _ = echelon(rows, p)
-    if pivots and pivots[-1][1] == q:
-        raise ColoringError("anchor constraints are inconsistent")
-    if len(pivots) < q:
-        raise ColoringError(f"anchors leave {q - len(pivots)} kernel degrees of freedom")
-    # Every column below q is a pivot: solve with -1 in column q, so each
-    # row reads (its left side) . v = (its right-hand side).
-    v = _back_substitute(pivots, reduced, {q: [-1]}, p)
-    return Coloring(params.n, params.m, {arc: v[i][0] for i, arc in enumerate(d.arcs)})
-
-
 def verify_coloring(d: Diagram, coloring: Coloring) -> bool:
     """Check that every arc has a color in 0..n-1 and every crossing
     relation holds; works for composite moduli too."""
@@ -645,16 +600,17 @@ def kh_witness(
     prime value of the reduced polynomial at m.  The answer is about the
     diagram as given, not about all diagrams of the underlying knot.
 
-    At such a p the kernel has dimension at most 2, so no class is walked.
-    At t = m the first minor is +-m^j value(m) for a knot and
+    At such a p the kernel has dimension 2, so no class is walked.  At
+    t = m the first minor is +-m^j value(m) for a knot and
     +-m^j (1 - m) value(m) for a link, and 1 < m < p, so p divides it
     exactly once.  The Smith invariants d_1 | ... | d_n of the integer
     matrix A + mB have d_n = 0, as the constants color, and d_1 ... d_(n-1),
     the gcd of the first minors, divides this one.  So p divides at most one
-    of d_1 .. d_(n-1), and A + mB has rank at least n - 2 mod p: the
-    constants and at most one affine class, returned in canonical form when
-    its colors are pairwise distinct.  A larger kernel raises ColoringError
-    as an internal inconsistency.
+    of d_1 .. d_(n-1), and A + mB has rank at least n - 2 mod p.  Every
+    first minor is +-m^i times this one, so p divides them all and the rank
+    is n - 2: the kernel holds the constants and one affine class, returned
+    in canonical form when its colors are pairwise distinct.  Any other
+    kernel dimension raises ColoringError as an internal inconsistency.
     """
     if not reduced_alternating:
         raise ColoringError(
@@ -673,14 +629,14 @@ def kh_witness(
             f"KH check needs p equal to the reduced value at m: value {value}, p {p}"
         )
     basis = kernel_basis(coloring_matrix(d, params))
-    if len(basis) > 2:
+    if len(basis) != 2:
         raise ColoringError(
             f"internal inconsistency: kernel dimension {len(basis)} at p = value(m) = {p}"
         )
-    rest = _without_constants(basis, p)
-    if not rest or len(set(rest[0])) < len(rest[0]):
+    (v,) = _without_constants(basis, p)
+    if len(set(v)) < len(v):
         return None
-    return Coloring(p, m, dict(zip(d.arcs, _affine_canonical(rest[0], p))))
+    return Coloring(p, m, dict(zip(d.arcs, _affine_canonical(v, p))))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from math import gcd
 
 from .bounds import BoundReport, improved_lower_bound, require_odd_prime
-from .coloring import Coloring, QuandleParams, coloring_from_anchors, verify_coloring
+from .coloring import Coloring, QuandleParams, min_colors_on_diagram, verify_coloring
 from .diagram import Diagram, PdCode, build_diagram, relabel_arcs
 from .errors import BoundsError, DiagramError
 from .laurent import LaurentPoly, exact_div, reduce_normalize
@@ -308,16 +308,25 @@ def pretzel_diagram(pp: PretzelParams) -> Diagram:
 
 def pretzel_m2_coloring(pp: PretzelParams) -> Coloring:
     """The explicit coloring at m = 2 with x=1, y=0, hence z=2, w=1; uses
-    exactly a+4 of the p = poly(2) colors."""
+    exactly a+4 of the p = poly(2) colors.
+
+    It rests on the fact behind coloring.kh_witness: at p = poly(2) the
+    kernel leaves the constants and one affine class, so
+    min_colors_on_diagram returns that class without walking a line, and
+    c -> (c - v[y]) / (v[x] - v[y]) takes it to this coloring."""
     p = pretzel_alexander(pp).evaluate(2)
     require_odd_prime(p)
     d = pretzel_diagram(pp)
     x, y, z, w = pretzel_anchors(d)
-    coloring = coloring_from_anchors(d, QuandleParams(p, 2), {x: 1, y: 0})
+    v = min_colors_on_diagram(d, QuandleParams(p, 2))[1].colors
+    if v[x] == v[y]:
+        raise DiagramError(f"{pp.name} coloring gives x and y one color")
+    scale = pow(v[x] - v[y], -1, p)
+    coloring = Coloring(p, 2, {arc: (c - v[y]) * scale % p for arc, c in v.items()})
     got = coloring.colors
     if got[z] != 2 % p or got[w] != 1:
         raise DiagramError(
-            f"{pp.name} anchored coloring gave z={got[z]}, w={got[w]}; expected 2, 1"
+            f"{pp.name} coloring gave z={got[z]}, w={got[w]}; expected 2, 1"
         )
     if not verify_coloring(d, coloring):
         raise DiagramError(f"{pp.name} propagated coloring fails verification")

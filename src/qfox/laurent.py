@@ -10,11 +10,11 @@ minor of size n is det(A + tB) for the minor's rows, taken by sparse
 elimination modulo a Mersenne prime above a proven coefficient bound, at
 one point t = 2^K whose base-2^K digits are the coefficients, or for the
 largest minors at n + 1 points and by interpolation (see qfox.sparse), so
-no division needs checking; the dense integer route is a test oracle.  Exact division (exact_div) is long
-division by integer divmod checked for a remainder.  No integer elimination
-runs here: the mod-p kernel and the collapse checks (qfox.coloring)
-evaluate the same triples at t = m and take them to the echelon form of
-qfox.sparse.
+no division needs checking; the dense integer route is a test oracle.
+Exact division (exact_div) is long division by integer divmod checked for
+a remainder.  No integer elimination runs here: the mod-p kernel and the
+collapse checks (qfox.coloring) evaluate the same triples at t = m and take
+them to the echelon form of qfox.sparse.
 """
 
 from __future__ import annotations

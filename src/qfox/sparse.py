@@ -1,7 +1,7 @@
 """Sparse elimination modulo a prime, in two routines: the determinant of an
 integer pencil A + tB by evaluation modulo one Mersenne prime, and a
-column-ordered echelon form for kernels, anchored solves and the pivots and
-determinant of an integer matrix.
+column-ordered echelon form for kernels and the pivots and determinant of
+an integer matrix.
 
 A pencil row is a list of (column, a, b) triples, one per entry a + b*t that
 is not identically zero; columns are numbered 0..n-1.  The pivot order is
@@ -38,8 +38,8 @@ at 2.
 
 echelon reads rows in that form too and takes the columns in increasing
 order; a column's pivot is the first remaining row that is non-zero there,
-swapped into place.  For a kernel or an anchored solve any prime p will
-do, since the echelon form fixes the answer by back substitution.
+swapped into place.  For a kernel any prime p will do, since back
+substitution reads the basis off the echelon form.
 pivot_minor runs it on an integer matrix.
 
 Exactness rests on bounds, not on checked divisions, and on a fixed table

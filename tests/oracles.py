@@ -20,7 +20,8 @@ qfox.coloring._orbit_walk: first_minimum and first_all_distinct read the
 witnesses of min_colors_on_diagram and kh_witness off it.  _row_reduce is
 the dense RREF mod p that the sparse echelon form of qfox.sparse replaced:
 rank, kernel_basis_rref and anchored_solution_rref read the rank, the
-kernel basis and the anchored coloring off it.  bareiss, the fraction-free
+kernel basis and the coloring pinned by anchor values off it, the last
+against qfox.families.pretzel_m2_coloring.  bareiss, the fraction-free
 integer elimination behind det_int, and pivot_rows_fraction, the same
 elimination over Fraction, are the oracles for the pivot rows and det B
 that collapse_and_check reads off qfox.sparse.pivot_minor.  arc_of_edge
@@ -47,7 +48,6 @@ from qfox.coloring import (
     Coloring,
     ModMatrix,
     _affine_canonical,
-    _require_prime_modulus,
     coloring_matrix,
     kernel_basis,
     verify_coloring,
@@ -310,7 +310,6 @@ def _row_reduce(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int
 
 
 def rank(mat: ModMatrix) -> int:
-    _require_prime_modulus(mat.modulus)
     dense = [[r.get(j, 0) for j in range(len(mat.arc_labels))] for r in mat.rows]
     pivots, _ = _row_reduce(dense, mat.modulus)
     return len(pivots)
@@ -337,8 +336,9 @@ def kernel_basis_rref(rows: list[list[int]], ncols: int, p: int) -> list[tuple[i
 def anchored_solution_rref(rows: list[list[int]], anchors: dict[int, int], p: int) -> list[int]:
     """The unique v with rows . v = 0 mod p and v[j] = anchors[j], read off
     the RREF of the system with the right-hand side as a last column and one
-    unit row per anchor; ColoringError with the messages of
-    qfox.coloring.coloring_from_anchors when there is none or more."""
+    unit row per anchor, or ColoringError when there is none or more: the
+    reference for qfox.families.pretzel_m2_coloring, which rescales the one
+    affine class of the kernel instead."""
     q = len(rows[0])
     system = [row + [0] for row in rows]
     for j, val in sorted(anchors.items()):

@@ -15,9 +15,7 @@ from qfox import (
     QfoxError,
     QuandleParams,
     alexander_matrix,
-    build_diagram,
     collapse_and_check,
-    coloring_from_anchors,
     coloring_matrix,
     first_minor,
     get_diagram,
@@ -27,7 +25,6 @@ from qfox import (
     kl_lower_bound,
     load_registry,
     min_colors_on_diagram,
-    parse_pd,
     quandle_op,
     quandle_op_inv,
     reduce_normalize,
@@ -48,7 +45,6 @@ from qfox.coloring import (
 from qfox.sparse import pivot_minor
 from oracles import (
     alexander_matrix_reference,
-    anchored_solution_rref,
     enumerate_colorings_brute,
     first_all_distinct,
     first_minimum,
@@ -230,62 +226,6 @@ def test_coloring_json_roundtrip():
     c = Coloring(5, 2, {1: 0, 2: 1, 3: 3, 4: 2})
     assert Coloring.from_json(c.to_json()) == c
     assert c.to_json()["p"] == 5
-
-
-# -- anchored solving -----------------------------------------------------------------
-
-
-def test_anchors_pin_unique_coloring(trefoil):
-    c = coloring_from_anchors(trefoil, QuandleParams(3, 2), {1: 1, 2: 0})
-    assert c.colors == {1: 1, 2: 0, 3: 2}
-
-
-def test_anchors_inconsistent(trefoil):
-    with pytest.raises(ColoringError):
-        coloring_from_anchors(trefoil, QuandleParams(3, 2), {1: 0, 2: 0, 3: 1})
-
-
-def test_anchors_underdetermined(trefoil):
-    with pytest.raises(ColoringError):
-        coloring_from_anchors(trefoil, QuandleParams(3, 2), {1: 1})
-
-
-@pytest.mark.parametrize(
-    "word,p,m",
-    [([1, 1, 1], 3, 2), ([1, -2, 1, -2], 5, 4), ([1, 1, 1, 1], 5, 2), ([1, 1, 1, 2, 2, 2], 3, 2)],
-)
-def test_anchors_match_kernel_enumeration(word, p, m):
-    """Random anchor sets on 3_1, 4_1, L4a1 and the granny knot (kernel
-    dimension 3 at p = 3): the one kernel vector taking the anchored
-    values, or the named error when none or p^k of them do."""
-    d = braid_closure(word)
-    params = QuandleParams(p, m)
-    vectors = kernel_vectors(d, params)
-    rng = random.Random(len(word) * p)
-    for _ in range(60):
-        arcs = rng.sample(d.arcs, rng.randint(1, min(4, len(d.arcs))))
-        anchors = {a: rng.randrange(p) for a in arcs}
-        hits = [v for v in vectors if all(v[d.arcs.index(a)] == c for a, c in anchors.items())]
-        if len(hits) == 1:
-            assert coloring_from_anchors(d, params, anchors).colors == dict(zip(d.arcs, hits[0]))
-            continue
-        if hits:
-            k = round(math.log(len(hits), p))
-            assert p**k == len(hits)
-            match = f"anchors leave {k} kernel degrees of freedom"
-        else:
-            match = "anchor constraints are inconsistent"
-        with pytest.raises(ColoringError, match=match):
-            coloring_from_anchors(d, params, anchors)
-
-
-def test_anchors_reject_unknown_arc_empty_diagram_and_composite_modulus(trefoil):
-    with pytest.raises(ColoringError, match="anchor arc 9 is not an arc"):
-        coloring_from_anchors(trefoil, QuandleParams(3, 2), {1: 0, 9: 1})
-    with pytest.raises(ColoringError, match="kernel is trivial"):
-        coloring_from_anchors(build_diagram(parse_pd("PD[]")), QuandleParams(3, 2), {})
-    with pytest.raises(ColoringError, match="prime modulus"):
-        coloring_from_anchors(trefoil, QuandleParams(9, 2), {1: 0, 2: 1})
 
 
 # -- exhaustive oracle ------------------------------------------------------------------
@@ -930,6 +870,10 @@ def test_kh_witness_checks_the_kernel(monkeypatch):
     with pytest.raises(ColoringError, match="internal inconsistency: kernel dimension 3"):
         kh_witness(d, params, reduced_alternating=True)
 
+    monkeypatch.setattr(coloring, "kernel_basis", lambda mat: real(mat)[:1])
+    with pytest.raises(ColoringError, match="internal inconsistency: kernel dimension 1"):
+        kh_witness(d, params, reduced_alternating=True)
+
     def first_vector_doubled(mat):
         basis = real(mat)
         return [tuple(2 * x for x in basis[0])] + basis[1:]
@@ -1076,7 +1020,7 @@ def _sparse(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-# -- the sparse kernel and anchored solve against the dense RREF oracle ----------------------------
+# -- the sparse kernel against the dense RREF oracle ----------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
@@ -1104,19 +1048,7 @@ def _registry_cases():
     yield from _registry_knot_cases()
 
 
-def test_registry_kernels_and_anchors_match_rref_oracle():
-    rng = random.Random(12)
+def test_registry_kernels_match_rref_oracle():
     for d, p, m in _registry_cases():
-        params = QuandleParams(p, m)
         rows = [[e.evaluate(m) for e in row] for row in alexander_matrix_reference(d)]
-        q = len(d.arcs)
-        assert kernel_basis(coloring_matrix(d, params)) == kernel_basis_rref(rows, q, p)
-        for _ in range(8):
-            anchors = {a: rng.randrange(p) for a in rng.sample(d.arcs, rng.randint(1, min(4, q)))}
-            try:
-                want = anchored_solution_rref(rows, {d.arcs.index(a): v for a, v in anchors.items()}, p)
-            except ColoringError as exc:
-                with pytest.raises(ColoringError, match=f"^{exc}$"):
-                    coloring_from_anchors(d, params, anchors)
-            else:
-                assert coloring_from_anchors(d, params, anchors).colors == dict(zip(d.arcs, want))
+        assert kernel_basis(coloring_matrix(d, QuandleParams(p, m))) == kernel_basis_rref(rows, len(d.arcs), p)

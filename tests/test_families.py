@@ -41,7 +41,13 @@ from qfox import (
 )
 import qfox
 from qfox.families import MAX_CROSSINGS, pretzel_anchors, torus_braid_word
-from oracles import RingPoly, hironaka_quotient, orbit_representatives
+from oracles import (
+    RingPoly,
+    alexander_matrix_reference,
+    anchored_solution_rref,
+    hironaka_quotient,
+    orbit_representatives,
+)
 
 
 def _alternating_units(poly):
@@ -348,6 +354,20 @@ def test_pretzel_m2_coloring_a7():
     assert c.n == 599
     assert c.distinct == 11
     assert verify_coloring(pretzel_diagram(PretzelParams(7)), c)
+
+
+@pytest.mark.parametrize("a", [5, 7, 13, 17, 49])
+def test_pretzel_m2_coloring_is_the_kernels_one_class(a):
+    """At p = poly(2) the kernel has dimension 2, and its one affine class,
+    rescaled, is the coloring that x = 1, y = 0 (arcs 1 and 2) pin down in
+    the dense RREF of the relation rows at t = 2."""
+    pp = PretzelParams(a)
+    p = pretzel_alexander(pp).evaluate(2)
+    d = pretzel_diagram(pp)
+    assert len(kernel_basis(coloring_matrix(d, QuandleParams(p, 2)))) == 2
+    rows = [[e.evaluate(2) for e in row] for row in alexander_matrix_reference(d)]
+    want = anchored_solution_rref(rows, {0: 1, 1: 0}, p)
+    assert pretzel_m2_coloring(pp).colors == dict(zip(d.arcs, want))
 
 
 def test_pretzel_m2_composite_rejected():
