@@ -69,6 +69,7 @@ class Diagram:
 # ---------------------------------------------------------------------------
 
 _WS = re.compile(r"\s+")
+_CROSSING = re.compile(r"X\[(-?\d+),(-?\d+),(-?\d+),(-?\d+)\]")
 
 
 def parse_pd(text: str) -> PdCode:
@@ -84,7 +85,7 @@ def parse_pd(text: str) -> PdCode:
     crossings = []
     pos = 0
     while pos < len(body):
-        mt = re.match(r"X\[(-?\d+),(-?\d+),(-?\d+),(-?\d+)\]", body[pos:])
+        mt = _CROSSING.match(body, pos)
         if mt is None:
             raise PdSyntaxError(
                 f"expected X[a,b,c,d] near {body[pos:pos + 16]!r}", position=pos + 3
@@ -93,7 +94,7 @@ def parse_pd(text: str) -> PdCode:
         if any(v <= 0 for v in labels):
             raise PdSyntaxError(f"edge labels must be positive: {labels}", position=pos + 3)
         crossings.append(labels)
-        pos += mt.end()
+        pos = mt.end()
         if pos < len(body):
             if body[pos] != ",":
                 raise PdSyntaxError("expected ',' between crossings", position=pos + 3)

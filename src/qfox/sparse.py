@@ -4,37 +4,37 @@ column-ordered echelon form for kernels and the pivots and determinant of
 an integer matrix.
 
 A pencil row is a list of (column, a, b) triples, one per entry a + b*t that
-is not identically zero; columns are numbered 0..n-1.  The pivot order is
-chosen once, by Markowitz's rule (the shortest remaining row, then its
-sparsest column), in an elimination at a generic point modulo 2^61 - 1:
-the order is only a heuristic, since every replay checks its pivots, so a
-word-size modulus serves every pencil.  That order is compiled into a fixed
-sequence of updates on a flat value array, covering every entry the order
-can fill at any t, and the sequence is replayed at each evaluation point
-modulo a Mersenne prime p = 2^e - 1, where a product is reduced by folding,
-(x & p) + (x >> e), instead of by division.  Where a replayed pivot
-vanishes, a fresh Markowitz elimination at that t gives the value instead.
-Each elimination reads the pencil at one t through pencil_at, as rows
-{column: value non-zero mod p}.
+is not identically zero; columns are numbered 0..n-1.  Each elimination
+reads the pencil at one t through pencil_at, as rows {column: value
+non-zero mod p}.  The determinant at that t is taken by _markowitz:
+fraction-free elimination modulo a Mersenne prime p = 2^e - 1, pivoting by
+Markowitz's rule (the shortest remaining row, then its sparsest column),
+where a row is cleared as pv * row - v * pivot row, a product is reduced
+by folding, (x & p) + (x >> e), instead of by division, and the product of
+the pivot factors is divided out once at the end.  Every pivot it takes is
+non-zero mod p, so the determinant mod p is exact whatever the order.
 
-Most pencils are evaluated at one point, t = 2^K (Kronecker substitution).
-On |t| = 1 every entry has |a + bt| <= |a| + |b|, so by Hadamard's
-inequality |det(A + tB)| < H = isqrt(prod_i sum_j (|a_ij| + |b_ij|)^2) + 1
-there, and every coefficient, a Fourier coefficient of det on the unit
-circle, is below H as well.  With K = bits(H) + 2 each coefficient lies in
-(-2^(K-2), 2^(K-2)), so |det(2^K)| < 2^(K(n+1) - 1); modulo the smallest
-tabulated Mersenne prime above 2^(K(n+1) + 1) the symmetric lift of the
-residue is det(2^K) itself, and its balanced base-2^K digits, each in
-[-2^(K-1), 2^(K-1)), are the coefficients.  A replayed pivot is non-zero
-exactly when the minor on the pivot rows and columns so far is; that minor
-obeys the same bound, so it vanishes at 2^K only if it is the zero
-polynomial, which the ordering run has ruled out.  Past
-ONE_POINT_MAX_EXPONENT one wide evaluation costs more than n + 1 narrow
-ones, so there the sequence is replayed at t = 2, 3, ..., n + 2, modulo
-the smallest tabulated Mersenne prime above twice the 1-norm bound below,
-and Newton interpolation mod p gives the coefficients.  The relation
-entries t, 1 - t and -1 vanish at no such t, which is why the points start
-at 2.
+Most pencils are evaluated at one point, t = 2^K (Kronecker substitution),
+by one such elimination.  On |t| = 1 every entry has |a + bt| <= |a| + |b|,
+so by Hadamard's inequality |det(A + tB)| < H = isqrt(prod_i sum_j
+(|a_ij| + |b_ij|)^2) + 1 there, and every coefficient, a Fourier
+coefficient of det on the unit circle, is below H as well.  With
+K = bits(H) + 2 each coefficient lies in (-2^(K-2), 2^(K-2)), so
+|det(2^K)| < 2^(K(n+1) - 1); modulo the smallest tabulated Mersenne prime
+above 2^(K(n+1) + 1) the symmetric lift of the residue is det(2^K) itself,
+and its balanced base-2^K digits, each in [-2^(K-1), 2^(K-1)), are the
+coefficients.  Past ONE_POINT_MAX_EXPONENT one wide evaluation costs more
+than n + 1 narrow ones, so there the pencil is evaluated at t = 2, 3, ...,
+n + 2, modulo the smallest tabulated Mersenne prime above twice the 1-norm
+bound below, and Newton interpolation mod p gives the coefficients.  On
+that path the pivot order is chosen once, by _markowitz at a generic point
+modulo 2^61 - 1: the order is only a heuristic, since every replay checks
+its pivots, so a word-size modulus serves every pencil.  The order is
+compiled into a fixed sequence of the same fraction-free updates on a flat
+value array, covering every entry the order can fill at any t, and the
+sequence is replayed at each point; where a replayed pivot vanishes,
+_markowitz at that t gives the value instead.  The relation entries t,
+1 - t and -1 vanish at no such t, which is why the points start at 2.
 
 echelon reads rows in that form too and takes the columns in increasing
 order; a column's pivot is the first remaining row that is non-zero there,
@@ -61,7 +61,6 @@ residue.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from math import isqrt, prod
 
 from .errors import DiagramError
@@ -72,17 +71,16 @@ MERSENNE_EXPONENTS = (
     9941, 11213, 19937,
 )
 
-# The point and the modulus of the ordering elimination (see the module
-# docstring).
+# The point and the modulus of the ordering elimination past
+# ONE_POINT_MAX_EXPONENT (see the module docstring).
 _GENERIC_T = 0x9E3779B97F4A7C15
 _ORDER_P = (1 << 61) - 1
 
 # The largest Mersenne exponent evaluated at one point.  Whole first minors
-# timed both ways (Python 3.11.7, 2-core Xeon, best of 3-5 runs): modulo
-# 2^4253 - 1 and 2^4423 - 1, one point took 7-12 ms against 9-16 ms for
-# n + 1 points (T(5,13), T(6,11), T(7,9), T(2,55), T(2,57), P(-2,3,53)); at
-# the next exponent, 9689, it took 20-41 ms against 9-26 ms (T(2,59),
-# T(2,61), P(-2,3,55)).
+# timed both ways (Python 3.11.7, 2-core Xeon, best of 5 runs): modulo
+# 2^4253 - 1 and 2^4423 - 1, one point took 6-10 ms against 8-15 ms for
+# n + 1 points (T(5,13), T(2,57), P(-2,3,53)); at the next exponent, 9689,
+# it took 19-37 ms against 9-17 ms (T(2,59), T(2,61), P(-2,3,55)).
 ONE_POINT_MAX_EXPONENT = 4423
 
 # The interpolation points are t = _FIRST_T, ..., _FIRST_T + n.
@@ -139,11 +137,11 @@ def _digit_width(rows: list[Row]) -> int:
 
 def _det_at_one_point(rows: list[Row], width: int) -> list[int]:
     """det(A + tB) from its value at t = 2^width modulo the smallest
-    tabulated Mersenne prime above 2^(width * (n + 1) + 1): the balanced
-    base-2^width digits of the symmetric lift."""
+    tabulated Mersenne prime above 2^(width * (n + 1) + 1), by one Markowitz
+    elimination: the balanced base-2^width digits of the symmetric lift."""
     n = len(rows)
     p = _mersenne_above(1 << (width * (n + 1)))
-    value = _symmetric(_det_values(rows, [1 << width], p)[0], p)
+    value = _symmetric(_markowitz(pencil_at(rows, 1 << width, p), p)[0], p)
     half, mask = 1 << (width - 1), (1 << width) - 1
     coeffs = []
     for _ in range(n + 1):
@@ -154,23 +152,17 @@ def _det_at_one_point(rows: list[Row], width: int) -> list[int]:
 
 def _det_at_points(rows: list[Row]) -> list[int]:
     """det(A + tB) from its values at t = 2, 3, ..., n + 2 modulo
-    pencil_modulus, by interpolation."""
+    pencil_modulus, by interpolation.  The values come from one compiled
+    elimination in a Markowitz order taken mod _ORDER_P; a fresh Markowitz
+    elimination mod p gives each value the replay cannot."""
     p = pencil_modulus(rows)
-    values = _det_values(rows, range(_FIRST_T, _FIRST_T + len(rows) + 1), p)
-    return [_symmetric(c, p) for c in _interpolate(values, p)]
-
-
-def _det_values(rows: list[Row], points: Sequence[int], p: int) -> list[int]:
-    """det(A + tB) mod the Mersenne prime p at each t of `points`, by one
-    compiled elimination in a Markowitz order taken mod _ORDER_P; a fresh
-    Markowitz elimination mod p gives each value the replay cannot."""
     order = _markowitz(pencil_at(rows, _GENERIC_T, _ORDER_P), _ORDER_P)[1]
     compiled = _compile(rows, order) if len(order) == len(rows) else None
     values = []
-    for t in points:
+    for t in range(_FIRST_T, _FIRST_T + len(rows) + 1):
         v = _replay(compiled, t, p) if compiled else None
         values.append(_markowitz(pencil_at(rows, t, p), p)[0] if v is None else v)
-    return values
+    return [_symmetric(c, p) for c in _interpolate(values, p)]
 
 
 def _perm_sign(order: list[tuple[int, int]]) -> int:
@@ -192,9 +184,14 @@ def _perm_sign(order: list[tuple[int, int]]) -> int:
 
 
 def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int, int]]]:
-    """Determinant mod p of a square matrix of rows {column: non-zero value},
-    by elimination with Markowitz pivoting, and the (row, column) pivots in
-    elimination order.  A singular matrix gives 0 and a shorter order."""
+    """Determinant mod the Mersenne prime p = 2^e - 1 of a square matrix of
+    rows {column: value non-zero mod p}, by fraction-free elimination with
+    Markowitz pivoting (see the module docstring), and the (row, column)
+    pivots in elimination order.  A singular matrix gives 0 and a shorter
+    order.  Each cleared row is a non-zero multiple of the row an
+    elimination by the inverse of the pivot would leave, so the zero
+    pattern, and with it the order, is that elimination's."""
+    e = p.bit_length()
     rows = [dict(r) for r in rows]
     in_col: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
@@ -202,7 +199,7 @@ def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int,
             in_col.setdefault(j, set()).add(i)
     live = set(range(len(rows)))
     order = []
-    det = 1
+    det = den = 1
     while live:
         i = min(live, key=lambda i: (len(rows[i]), i))
         piv_row = rows[i]
@@ -213,14 +210,29 @@ def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int,
         for jj in piv_row:
             in_col[jj].discard(i)
         order.append((i, j))
-        pv = piv_row[j]
-        det = det * pv % p
-        inv = pow(pv, -1, p)
-        for k in list(in_col[j]):
+        pv = piv_row.pop(j)
+        x = det * pv
+        x = (x & p) + (x >> e)
+        x = (x & p) + (x >> e)
+        det = x - p if x >= p else x
+        for k in in_col.pop(j):
             r = rows[k]
-            f = r[j] * inv % p
-            for jj, v in piv_row.items():
-                x = (r.get(jj, 0) - f * v) % p
+            nv = p - r.pop(j)
+            x = den * pv
+            x = (x & p) + (x >> e)
+            x = (x & p) + (x >> e)
+            den = x - p if x >= p else x
+            for jj, w in r.items():
+                if jj not in piv_row:
+                    x = pv * w
+                    x = (x & p) + (x >> e)
+                    x = (x & p) + (x >> e)
+                    r[jj] = x - p if x >= p else x
+            for jj, w in piv_row.items():
+                x = pv * r.get(jj, 0) + nv * w
+                x = (x & p) + (x >> e)
+                x = (x & p) + (x >> e)
+                x = x - p if x >= p else x
                 if x:
                     if jj not in r:
                         in_col[jj].add(k)
@@ -228,7 +240,7 @@ def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int,
                 elif jj in r:
                     del r[jj]
                     in_col[jj].discard(k)
-    return _perm_sign(order) * det % p, order
+    return _perm_sign(order) * det * pow(den, -1, p) % p, order
 
 
 def _compile(rows: list[Row], order: list[tuple[int, int]]):

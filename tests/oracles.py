@@ -24,8 +24,12 @@ kernel basis and the coloring pinned by anchor values off it, the last
 against qfox.families.pretzel_m2_coloring.  bareiss, the fraction-free
 integer elimination behind det_int, and pivot_rows_fraction, the same
 elimination over Fraction, are the oracles for the pivot rows and det B
-that collapse_and_check reads off qfox.sparse.pivot_minor.  arc_of_edge
-numbers arcs with a union-find of its own, against build_diagram.
+that collapse_and_check reads off qfox.sparse.pivot_minor.
+markowitz_inverse is the Markowitz elimination that reduces each row by
+the inverse of its pivot, with the sign of its pivots counted by
+inversions, against the fraction-free, folded one of qfox.sparse.
+arc_of_edge numbers arcs with a union-find of its own, against
+build_diagram.
 validate lists the invariants a built Diagram must satisfy, and
 base_m_digits expands an integer in base m, the digit count that
 qfox.bounds.floor_log computes without the digits.  prime_scan_reference
@@ -38,7 +42,7 @@ the V-only ladder of qfox.bounds.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 from math import isqrt
@@ -456,6 +460,49 @@ def pivot_rows_fraction(rows: list[list[int]]) -> tuple[list[int], Fraction]:
         product_of_pivots *= m[r][col]
         r += 1
     return pivots, product_of_pivots
+
+
+def markowitz_inverse(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int, int]]]:
+    """Determinant mod p of a square matrix of rows {column: non-zero value},
+    by elimination with Markowitz pivoting, each target row reduced by the
+    inverse of the pivot, and the (row, column) pivots in elimination
+    order.  A singular matrix gives 0 and a shorter order."""
+    rows = [dict(r) for r in rows]
+    in_col: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            in_col.setdefault(j, set()).add(i)
+    live = set(range(len(rows)))
+    order = []
+    det = 1
+    while live:
+        i = min(live, key=lambda i: (len(rows[i]), i))
+        piv_row = rows[i]
+        if not piv_row:
+            return 0, order
+        j = min(piv_row, key=lambda j: (len(in_col[j]), j))
+        live.discard(i)
+        for jj in piv_row:
+            in_col[jj].discard(i)
+        order.append((i, j))
+        pv = piv_row[j]
+        det = det * pv % p
+        inv = pow(pv, -1, p)
+        for k in list(in_col[j]):
+            r = rows[k]
+            f = r[j] * inv % p
+            for jj, v in piv_row.items():
+                x = (r.get(jj, 0) - f * v) % p
+                if x:
+                    if jj not in r:
+                        in_col[jj].add(k)
+                    r[jj] = x
+                elif jj in r:
+                    del r[jj]
+                    in_col[jj].discard(k)
+    cols = [j for _, j in sorted(order)]
+    inversions = sum(a > b for a, b in combinations(cols, 2))
+    return (-1) ** inversions * det % p, order
 
 
 def validate(d: Diagram) -> list[str]:

@@ -49,6 +49,33 @@ def test_parse_rejects_malformed(text):
         parse_pd(text)
 
 
+def _long_body(bad: str, at: int) -> tuple[str, int]:
+    """A PD text of 2,000 crossings whose crossing `at` is replaced by
+    `bad`, and the offset of that crossing in the text."""
+    crossings = [f"X[{4 * k + 1},{4 * k + 2},{4 * k + 3},{4 * k + 4}]" for k in range(2000)]
+    crossings[at] = bad
+    return "PD[" + ",".join(crossings) + "]", len("PD[" + ",".join(crossings[:at] + [""]))
+
+
+@pytest.mark.parametrize("at", [0, 1000, 1999])
+@pytest.mark.parametrize(
+    "bad,shift",
+    [
+        ("X[1,2,3]", 0),  # three labels
+        ("Y[1,2,3,4]", 0),  # not an X
+        ("X[0,1,2,3]", 0),  # a label that is not positive
+        ("X[1,2,3,4]X[5,6,7,8]", len("X[1,2,3,4]")),  # no comma between crossings
+    ],
+)
+def test_parse_error_position_in_a_long_body(bad, shift, at):
+    """The offset of a malformed crossing at the start, the middle and the
+    end of a 2,000-crossing body, counted from the start of the text."""
+    text, offset = _long_body(bad, at)
+    with pytest.raises(PdSyntaxError) as err:
+        parse_pd(text)
+    assert err.value.position == offset + shift
+
+
 # -- assembly ----------------------------------------------------------------
 
 

@@ -49,6 +49,7 @@ from oracles import (
     det_cofactor,
     det_int,
     det_pencil,
+    markowitz_inverse,
 )
 
 ONE = LaurentPoly((1,))
@@ -347,28 +348,27 @@ def test_vanishing_replayed_pivot_reruns_markowitz(monkeypatch):
     assert calls[1:] == [([{1: 1}, {0: 1, 1: 2}, {2: c % p}], p)]  # the matrix at t = 2
 
 
-def test_vanishing_pivot_at_the_one_point_reruns_markowitz(monkeypatch):
-    """At t = 2^K a replayed pivot vanishes only where the minor it stands
-    for is the zero polynomial, which the ordering run rules out; where the
-    replay fails all the same, Markowitz runs at 2^K mod the one-point
-    modulus."""
+def test_one_point_is_one_markowitz_elimination(monkeypatch):
+    """Below the cutoff a pencil takes one Markowitz elimination, on the
+    pencil at t = 2^K mod the one-point modulus, and neither an ordering
+    run nor a compile nor a replay."""
     rows = [[(0, -2, 1), (1, 1, 0)], [(0, 1, 0), (1, 2, 0)]]
     width = sparse._digit_width(rows)
     p = sparse._mersenne_above(1 << width * 3)
     calls = []
     markowitz = sparse._markowitz
     monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append((rows, p)) or markowitz(rows, p))
-    monkeypatch.setattr(sparse, "_replay", lambda compiled, t, p: None)
+    for name in ("_compile", "_replay"):
+        monkeypatch.setattr(sparse, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     assert sparse.pencil_det(rows) == [-5, 2, 0]
-    t = 1 << width
-    assert calls[1:] == [([{0: t - 2, 1: 1}, {0: 1, 1: 2}], p)]
+    assert calls == [(sparse.pencil_at(rows, 1 << width, p), p)]
 
 
 def test_relation_minors_need_no_second_markowitz(monkeypatch, registry):
-    """The generic pivot order replays at every point, on both paths: at
-    t = 2^K (no replayed pivot can vanish there, see above), and at the
-    points t >= 2 of P(-2,3,55), where no relation entry t, 1 - t or -1
-    vanishes."""
+    """One Markowitz elimination per minor on both paths: at one point it
+    gives the value at t = 2^K itself, and past the cutoff it orders the
+    pivots of a replay that succeeds at every point t >= 2 of P(-2,3,55),
+    where no relation entry t, 1 - t or -1 vanishes."""
     diagrams = [build_diagram(pd, name) for name, pd in registry.items()]
     diagrams += [torus_diagram(TorusParams(5, 7)), pretzel_diagram(PretzelParams(21))]
     diagrams += [pretzel_diagram(PretzelParams(55))]
@@ -396,15 +396,21 @@ def test_first_minor_under_each_modulus(monkeypatch, diagram, closed_form, point
     """Each minor is evaluated at one point below the cutoff, modulo the
     Mersenne prime above its one-point bound, and past it at n + 1 points
     modulo the prime above twice its 1-norm bound; the reduced polynomial
-    is the closed form."""
-    evaluations = []
-    det_values = sparse._det_values
-    monkeypatch.setattr(
-        sparse, "_det_values",
-        lambda rows, ts, p: evaluations.append((len(ts), p)) or det_values(rows, ts, p),
-    )
+    is the closed form.  An evaluation is a pencil read at t (one point)
+    or a replay at t (n + 1 points) modulo a prime other than the ordering
+    run's."""
+    evaluations: dict[int, set[int]] = {}
+    for name in ("pencil_at", "_replay"):
+        f = getattr(sparse, name)
+
+        def record(first, t, p, f=f):
+            if p != sparse._ORDER_P:
+                evaluations.setdefault(p, set()).add(t)
+            return f(first, t, p)
+
+        monkeypatch.setattr(sparse, name, record)
     minor = first_minor(alexander_matrix(diagram))
-    assert evaluations == [(points, (1 << exponent) - 1)]
+    assert [(len(ts), p) for p, ts in evaluations.items()] == [(points, (1 << exponent) - 1)]
     assert reduce_normalize(minor, components=1) == closed_form
 
 
@@ -422,6 +428,36 @@ def test_ordering_mod_2_61_minus_1_keeps_the_order(monkeypatch, registry):
         p = sparse.pencil_modulus(rows)
         order = sparse._markowitz(sparse.pencil_at(rows, sparse._GENERIC_T, p), p)[1]
         assert sparse._markowitz(sparse.pencil_at(rows, sparse._GENERIC_T, sparse._ORDER_P), sparse._ORDER_P)[1] == order, d.name
+
+
+@st.composite
+def _sparse_squares(draw):
+    """A sparse square matrix mod 2^61 - 1 or 2^521 - 1 as rows {column:
+    value non-zero mod p}: empty rows, and singular matrices, where one row
+    is a multiple of another, are drawn too."""
+    p = draw(st.sampled_from([(1 << 61) - 1, (1 << 521) - 1]))
+    n = draw(st.integers(1, 8))
+    value = st.one_of(st.integers(1, 3), st.just(p - 1), st.integers(1, p - 1))
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), value, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        i, k, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(value)
+        rows[k] = {j: v * c % p for j, v in rows[i].items()}
+    return rows, p
+
+
+@given(_sparse_squares())
+@example(([{0: 1, 1: 1}, {}], (1 << 61) - 1))  # an empty row
+@example(([{0: 1, 1: 2}, {0: 2, 1: 4}], (1 << 521) - 1))  # singular, no empty row
+@example(([{1: 1}, {0: 1}], (1 << 61) - 1))  # odd pivot permutation: det -1
+@settings(max_examples=200, deadline=None)
+def test_fraction_free_markowitz_matches_the_inverse_based_oracle(case):
+    """The fraction-free elimination with folded products gives the
+    determinant and the pivot order of the elimination by inverses, and
+    leaves its input as it was."""
+    rows, p = case
+    before = [dict(r) for r in rows]
+    assert sparse._markowitz(rows, p) == markowitz_inverse(rows, p)
+    assert rows == before
 
 
 def test_pencil_modulus_is_the_first_mersenne_prime_above_twice_the_bound():
