@@ -154,18 +154,6 @@ def probable_only(n: int) -> bool:
     return n >= MR_DETERMINISTIC_BELOW
 
 
-def smallest_prime_factor(n: int) -> int | None:
-    """Smallest prime factor of n >= 2: trial division, then, for an n that
-    is not prime, the rho search of _rho_smallest_prime_factor.  None when
-    that runs out of budget before n is split into primes."""
-    if n < 2:
-        raise BoundsError(f"no prime factor of {n}")
-    f = _trial_factor(n)
-    if f is not None:
-        return f
-    return n if _is_prime(n) else _rho_smallest_prime_factor(n)
-
-
 def _trial_factor(n: int) -> int | None:
     """The smallest prime factor of n >= 2 below 10^6, n itself when n has
     no factor up to its square root, and None otherwise."""

@@ -8,11 +8,20 @@ is not identically zero; columns are numbered 0..n-1.  Each elimination
 reads the pencil at one t through pencil_at, as rows {column: value
 non-zero mod p}.  The determinant at that t is taken by _markowitz:
 fraction-free elimination modulo a Mersenne prime p = 2^e - 1, pivoting by
-Markowitz's rule (the shortest remaining row, then its sparsest column),
-where a row is cleared as pv * row - v * pivot row, a product is reduced
-by folding, (x & p) + (x >> e), instead of by division, and the product of
-the pivot factors is divided out once at the end.  Every pivot it takes is
-non-zero mod p, so the determinant mod p is exact whatever the order.
+Markowitz's rule (the shortest remaining row, then its sparsest columns),
+where among those columns an entry +-2^s comes first, then the lowest
+column, and a product is reduced by folding, (x & p) + (x >> e), instead
+of by division.  Since 2^-s = 2^(e-s) mod p, a pivot +-2^s clears a row
+as row + f * pivot row with f a rotation of the row's entry, at one
+product per pivot-row entry and no change to the determinant; at t = 2^K
+the relation entries t and -1 are such pivots.  A general pivot pv clears
+each of its targets as pv * row - v * pivot row, and only its targets past
+the first leave a factor pv to divide out, so one inverse runs at the end
+only where a general pivot had two or more targets.  Counted minor by
+minor over the first minors evaluated at the one point below, it runs on
+no P(-2,3,a) minor (those are a <= 53) and no T(2,n) minor (n <= 57), and
+once on every T(a,b) minor with a >= 3.  Every pivot it takes is non-zero
+mod p, so the determinant mod p is exact whatever the order.
 
 Most pencils are evaluated at one point, t = 2^K (Kronecker substitution),
 by one such elimination.  On |t| = 1 every entry has |a + bt| <= |a| + |b|,
@@ -183,6 +192,17 @@ def _perm_sign(order: list[tuple[int, int]]) -> int:
     return sign
 
 
+def _shift(v: int, p: int) -> int:
+    """For v = -2^s modulo the Mersenne prime p = 2^e - 1, r = e - s, so that
+    -1/v = 2^r; for v = 2^s, -r, so that -1/v = -2^r; for any other v, 0."""
+    if not v & (v - 1):
+        return v.bit_length() - 1 - p.bit_length()
+    w = p - v
+    if not w & (w - 1):
+        return p.bit_length() - w.bit_length() + 1
+    return 0
+
+
 def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int, int]]]:
     """Determinant mod the Mersenne prime p = 2^e - 1 of a square matrix of
     rows {column: value non-zero mod p}, by fraction-free elimination with
@@ -190,7 +210,20 @@ def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int,
     pivots in elimination order.  A singular matrix gives 0 and a shorter
     order.  Each cleared row is a non-zero multiple of the row an
     elimination by the inverse of the pivot would leave, so the zero
-    pattern, and with it the order, is that elimination's."""
+    pattern is that elimination's.
+
+    The pivot is in the shortest row, in one of its sparsest columns: an
+    entry +-2^s if one of those holds one, then the lowest column.  A pivot
+    pv = +-2^s clears target row k as row k + f * pivot row, where
+    f = -v / pv is v rotated by e - s bits (2^-s = 2^(e-s) mod p), negated
+    for pv = 2^s: one product per pivot-row entry, row k's other entries
+    untouched and the matrix's determinant unchanged, so det takes pv.  A
+    general pivot pv clears each of its t target rows as pv * row -
+    v * pivot row, which multiplies the determinant by pv^t, while the
+    pivot itself contributes pv to it: det / den changes by pv^(1 - t), so
+    den takes pv^(t - 1) for t >= 1 (nothing for one target) and det takes
+    pv for t = 0.  The inverse of den is taken once, at the end, only when
+    den != 1."""
     e = p.bit_length()
     rows = [dict(r) for r in rows]
     in_col: dict[int, set[int]] = {}
@@ -205,31 +238,43 @@ def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int,
         piv_row = rows[i]
         if not piv_row:
             return 0, order
-        j = min(piv_row, key=lambda j: (len(in_col[j]), j))
+        j = min(piv_row, key=lambda j: (len(in_col[j]), not _shift(piv_row[j], p), j))
         live.discard(i)
         for jj in piv_row:
             in_col[jj].discard(i)
         order.append((i, j))
         pv = piv_row.pop(j)
-        x = det * pv
-        x = (x & p) + (x >> e)
-        x = (x & p) + (x >> e)
-        det = x - p if x >= p else x
-        for k in in_col.pop(j):
+        targets = in_col.pop(j)
+        rot = _shift(pv, p)
+        if rot or not targets:
+            x = det * pv
+            x = (x & p) + (x >> e)
+            x = (x & p) + (x >> e)
+            det = x - p if x >= p else x
+        else:
+            for _ in range(len(targets) - 1):
+                x = den * pv
+                x = (x & p) + (x >> e)
+                x = (x & p) + (x >> e)
+                den = x - p if x >= p else x
+        for k in targets:
             r = rows[k]
-            nv = p - r.pop(j)
-            x = den * pv
-            x = (x & p) + (x >> e)
-            x = (x & p) + (x >> e)
-            den = x - p if x >= p else x
-            for jj, w in r.items():
-                if jj not in piv_row:
-                    x = pv * w
-                    x = (x & p) + (x >> e)
-                    x = (x & p) + (x >> e)
-                    r[jj] = x - p if x >= p else x
+            v = r.pop(j)
+            if rot:
+                # f = -v / pv: v, or p - v for pv = 2^s, rotated by |rot| bits
+                a = 1
+                x = (v if rot > 0 else p - v) << abs(rot)
+                f = (x & p) + (x >> e)
+            else:
+                a, f = pv, p - v
+                for jj, w in r.items():
+                    if jj not in piv_row:
+                        x = pv * w
+                        x = (x & p) + (x >> e)
+                        x = (x & p) + (x >> e)
+                        r[jj] = x - p if x >= p else x
             for jj, w in piv_row.items():
-                x = pv * r.get(jj, 0) + nv * w
+                x = a * r.get(jj, 0) + f * w
                 x = (x & p) + (x >> e)
                 x = (x & p) + (x >> e)
                 x = x - p if x >= p else x
@@ -240,7 +285,9 @@ def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int,
                 elif jj in r:
                     del r[jj]
                     in_col[jj].discard(k)
-    return _perm_sign(order) * det * pow(den, -1, p) % p, order
+    if den != 1:
+        det = det * pow(den, -1, p) % p
+    return _perm_sign(order) * det % p, order
 
 
 def _compile(rows: list[Row], order: list[tuple[int, int]]):

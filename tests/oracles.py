@@ -38,7 +38,9 @@ value, against the block sieve of qfox.bounds.prime_scan.  hironaka_quotient
 is the rational form of the pretzel polynomial, an exact division by
 (1+t)^3, against the closed form of qfox.families.pretzel_alexander.
 strong_lucas_uv is the strong Lucas test on the chain of U and V, against
-the V-only ladder of qfox.bounds.
+the V-only ladder of qfox.bounds.  smallest_prime_factor factors the
+values the tests need prime, with the trial division and rho search that
+qfox.bounds runs on a composite p.
 """
 
 from fractions import Fraction
@@ -47,6 +49,7 @@ from math import factorial
 
 from math import isqrt
 
+from qfox import bounds
 from qfox.bounds import _jacobi, is_odd_prime
 from qfox.coloring import (
     Coloring,
@@ -462,12 +465,32 @@ def pivot_rows_fraction(rows: list[list[int]]) -> tuple[list[int], Fraction]:
     return pivots, product_of_pivots
 
 
+def smallest_prime_factor(n: int) -> int | None:
+    """Smallest prime factor of n >= 2: trial division, then, for an n that
+    is not prime, the rho search of qfox.bounds._rho_smallest_prime_factor.
+    None when that runs out of budget before n is split into primes."""
+    if n < 2:
+        raise BoundsError(f"no prime factor of {n}")
+    f = bounds._trial_factor(n)
+    if f is not None:
+        return f
+    return n if bounds._is_prime(n) else bounds._rho_smallest_prime_factor(n)
+
+
 def markowitz_inverse(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int, int]]]:
     """Determinant mod p of a square matrix of rows {column: non-zero value},
     by elimination with Markowitz pivoting, each target row reduced by the
     inverse of the pivot, and the (row, column) pivots in elimination
-    order.  A singular matrix gives 0 and a shorter order."""
+    order.  A singular matrix gives 0 and a shorter order.
+
+    The pivot rule is qfox.sparse's: the shortest row, then its sparsest
+    columns, then an entry +-2^s, then the lowest column.  It tests each
+    entry as the fraction-free elimination holds it, the entry here times
+    its row's scale: the product of the held values of the pivots that
+    cleared the row and are not +-2^s, since only those scale a row."""
+    shifts = {sign * 2**s % p for s in range(p.bit_length()) for sign in (1, -1)}
     rows = [dict(r) for r in rows]
+    scale = [1] * len(rows)
     in_col: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
         for j in r:
@@ -480,16 +503,19 @@ def markowitz_inverse(rows: list[dict[int, int]], p: int) -> tuple[int, list[tup
         piv_row = rows[i]
         if not piv_row:
             return 0, order
-        j = min(piv_row, key=lambda j: (len(in_col[j]), j))
+        j = min(piv_row, key=lambda j: (len(in_col[j]), scale[i] * piv_row[j] % p not in shifts, j))
         live.discard(i)
         for jj in piv_row:
             in_col[jj].discard(i)
         order.append((i, j))
         pv = piv_row[j]
+        held = scale[i] * pv % p
         det = det * pv % p
         inv = pow(pv, -1, p)
         for k in list(in_col[j]):
             r = rows[k]
+            if held not in shifts:
+                scale[k] = scale[k] * held % p
             f = r[j] * inv % p
             for jj, v in piv_row.items():
                 x = (r.get(jj, 0) - f * v) % p

@@ -23,7 +23,6 @@ from qfox import (
     parse_poly,
     prime_scan,
     require_odd_prime,
-    smallest_prime_factor,
 )
 from qfox import bounds
 from qfox.bounds import (
@@ -35,7 +34,7 @@ from qfox.bounds import (
     profile,
 )
 from qfox.laurent import LaurentPoly, alexander_matrix, first_minor, reduce_normalize
-from oracles import base_m_digits, prime_scan_reference, strong_lucas_uv
+from oracles import base_m_digits, prime_scan_reference, smallest_prime_factor, strong_lucas_uv
 
 TREFOIL_POLY = parse_poly("1 - t + t^2")
 P73 = parse_poly("2 - 3t + 3t^2 - 3t^3 + 2t^4")
@@ -226,7 +225,8 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 def test_smallest_prime_factor_gives_up_past_its_budget():
     proc = _run_python(
         "-c",
-        "from qfox.bounds import smallest_prime_factor; "
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+        "from oracles import smallest_prime_factor; "
         f"print(smallest_prime_factor({TWO_LARGE_FACTORS}))",
     )
     assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr

@@ -28,7 +28,6 @@ from qfox import (
     quandle_op,
     quandle_op_inv,
     reduce_normalize,
-    smallest_prime_factor,
     verify_coloring,
 )
 from qfox import coloring
@@ -53,6 +52,7 @@ from oracles import (
     orbit_representatives,
     pivot_rows_fraction,
     rank,
+    smallest_prime_factor,
 )
 from qfox.families import braid_closure, pretzel_diagram, PretzelParams, torus_diagram, TorusParams
 

@@ -331,21 +331,23 @@ def test_odd_pivot_permutation_starts_the_replay_at_minus_one():
 
 
 def test_vanishing_replayed_pivot_reruns_markowitz(monkeypatch):
-    """det [[t - 2, 1, 0], [1, 2, 0], [0, 0, C]] = C(2t - 5), with C = 2^1105
+    """det [[t - 2, 3, 0], [1, 2, 0], [0, 0, C]] = C(2t - 7), with C = 2^1105
     large enough to put the pencil past the one-point cutoff.  The generic
-    order pivots on C (the shortest row), then on t - 2 (both rows and both
-    columns have two entries; ties go to the lowest index), which vanishes
-    at the first interpolation point t = 2, so Markowitz runs again there
-    and only there."""
+    order pivots on C (the shortest row), then on t - 2: both rows and both
+    columns have two entries, neither t - 2 nor 3 is +-2^s, and ties go to
+    the lowest index.  t - 2 vanishes at the first interpolation point
+    t = 2, so Markowitz runs again there and only there."""
     c = 1 << 1105
-    rows = [[(0, -2, 1), (1, 1, 0)], [(0, 1, 0), (1, 2, 0)], [(2, c, 0)]]
+    rows = [[(0, -2, 1), (1, 3, 0)], [(0, 1, 0), (1, 2, 0)], [(2, c, 0)]]
     assert sparse._digit_width(rows) * 4 + 1 >= sparse.ONE_POINT_MAX_EXPONENT
     calls = []
     markowitz = sparse._markowitz
     monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append((rows, p)) or markowitz(rows, p))
-    assert sparse.pencil_det(rows) == [-5 * c, 2 * c, 0, 0]
+    assert sparse.pencil_det(rows) == [-7 * c, 2 * c, 0, 0]
+    assert calls[0][1] == sparse._ORDER_P
+    assert markowitz(*calls[0])[1] == [(2, 2), (0, 0), (1, 1)]
     p = sparse.pencil_modulus(rows)
-    assert calls[1:] == [([{1: 1}, {0: 1, 1: 2}, {2: c % p}], p)]  # the matrix at t = 2
+    assert calls[1:] == [([{1: 3}, {0: 1, 1: 2}, {2: c % p}], p)]  # the matrix at t = 2
 
 
 def test_one_point_is_one_markowitz_elimination(monkeypatch):
@@ -433,11 +435,12 @@ def test_ordering_mod_2_61_minus_1_keeps_the_order(monkeypatch, registry):
 @st.composite
 def _sparse_squares(draw):
     """A sparse square matrix mod 2^61 - 1 or 2^521 - 1 as rows {column:
-    value non-zero mod p}: empty rows, and singular matrices, where one row
-    is a multiple of another, are drawn too."""
+    value non-zero mod p}, rich in entries +-2^s: empty rows, and singular
+    matrices, where one row is a multiple of another, are drawn too."""
     p = draw(st.sampled_from([(1 << 61) - 1, (1 << 521) - 1]))
     n = draw(st.integers(1, 8))
-    value = st.one_of(st.integers(1, 3), st.just(p - 1), st.integers(1, p - 1))
+    shift = st.builds(lambda s, neg: p - (1 << s) if neg else 1 << s, st.integers(0, p.bit_length() - 1), st.booleans())
+    value = st.one_of(st.integers(1, 3), st.just(p - 1), st.integers(1, p - 1), shift)
     rows = [draw(st.dictionaries(st.integers(0, n - 1), value, max_size=n)) for _ in range(n)]
     if draw(st.booleans()):
         i, k, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(value)
@@ -445,19 +448,65 @@ def _sparse_squares(draw):
     return rows, p
 
 
+P61, P521 = (1 << 61) - 1, (1 << 521) - 1
+
+
 @given(_sparse_squares())
-@example(([{0: 1, 1: 1}, {}], (1 << 61) - 1))  # an empty row
-@example(([{0: 1, 1: 2}, {0: 2, 1: 4}], (1 << 521) - 1))  # singular, no empty row
-@example(([{1: 1}, {0: 1}], (1 << 61) - 1))  # odd pivot permutation: det -1
+@example(([{0: 1, 1: 1}, {}], P61))  # an empty row
+@example(([{0: 1, 1: 2}, {0: 2, 1: 4}], P521))  # singular, no empty row
+@example(([{1: 1}, {0: 1}], P61))  # odd pivot permutation: det -1
+# -4 in column 1 before 3 in column 0, rotated into both target rows; then
+# a general pivot with one target: den = 1, det -44
+@example(([{0: 3, 1: P521 - 4}, {0: 5, 1: 6, 2: 7}, {0: 9, 1: 10, 2: 11}], P521))
+# a general pivot 3 with two targets, den = 3; row 1 then holds -8 in
+# column 2 and -12 in column 1 (-8/3 and -4 in the oracle), so column 2; det 4
+@example(([{0: 3, 1: 6, 2: 5}, {0: 7, 1: 10, 2: 9}, {0: 11, 1: 13, 2: 12}], P61))
+@example(([{0: 3, 1: 5}, {0: 7, 1: 9}], P61))  # one general pivot, one target: den = 1, det -8
 @settings(max_examples=200, deadline=None)
 def test_fraction_free_markowitz_matches_the_inverse_based_oracle(case):
-    """The fraction-free elimination with folded products gives the
-    determinant and the pivot order of the elimination by inverses, and
-    leaves its input as it was."""
+    """The fraction-free elimination with folded products and rotations
+    gives the determinant and the pivot order of the elimination by
+    inverses under the same pivot rule, and leaves its input as it was."""
     rows, p = case
     before = [dict(r) for r in rows]
     assert sparse._markowitz(rows, p) == markowitz_inverse(rows, p)
     assert rows == before
+
+
+@pytest.mark.parametrize(
+    "rows,p,det,order,inverse",
+    [
+        ([{0: 3, 1: P521 - 4}, {0: 5, 1: 6, 2: 7}, {0: 9, 1: 10, 2: 11}], P521, -44, [(0, 1), (1, 0), (2, 2)], False),
+        ([{0: 3, 1: 6, 2: 5}, {0: 7, 1: 10, 2: 9}, {0: 11, 1: 13, 2: 12}], P61, 4, [(0, 0), (1, 2), (2, 1)], True),
+        ([{0: 3, 1: 5}, {0: 7, 1: 9}], P61, -8, [(0, 0), (1, 1)], False),
+    ],
+    ids=["shift-pivot", "two-targets", "one-target"],
+)
+def test_markowitz_inverts_only_what_general_pivots_leave(monkeypatch, rows, p, det, order, inverse):
+    """A +-2^s pivot is preferred among the sparsest columns and costs no
+    factor; a general pivot with t targets leaves pv^(t - 1), so the
+    inverse runs only after a general pivot with two or more targets."""
+    calls = []
+    monkeypatch.setattr(sparse, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+    assert sparse._markowitz(rows, p) == (det % p, order)
+    assert bool(calls) == inverse
+
+
+def test_pretzel_and_two_strand_torus_minors_take_no_inverse(monkeypatch):
+    """No general pivot of these P(-2,3,a) and T(2,n) first minors at t = 2^K
+    has two targets, so none of them takes an inverse; T(3,4) keeps one."""
+    calls = []
+    monkeypatch.setattr(sparse, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+    for diagram, inverse in [
+        (pretzel_diagram(PretzelParams(5)), False),
+        (pretzel_diagram(PretzelParams(41)), False),
+        (torus_diagram(TorusParams(2, 7)), False),
+        (torus_diagram(TorusParams(2, 37)), False),
+        (torus_diagram(TorusParams(3, 4)), True),
+    ]:
+        calls.clear()
+        first_minor(alexander_matrix(diagram))
+        assert bool(calls) == inverse, diagram.name
 
 
 def test_pencil_modulus_is_the_first_mersenne_prime_above_twice_the_bound():
