@@ -10,32 +10,37 @@ non-zero mod p}.  The determinant at that t is taken by _markowitz:
 fraction-free elimination modulo a Mersenne prime p = 2^e - 1, pivoting by
 Markowitz's rule (the shortest remaining row, then its sparsest columns),
 where among those columns an entry +-2^s comes first, then the lowest
-column, and a product is reduced by folding, (x & p) + (x >> e), instead
-of by division.  Since 2^-s = 2^(e-s) mod p, a pivot +-2^s clears a row
+column.  Entries are held as balanced residues, in (-p/2, p/2), so -1 and
+1 - 2^K stay small, and a product is reduced by folding,
+(x & p) + (x >> e), instead of by division, and only once it leaves that
+range.  Since 2^-s = 2^(e-s) mod p, a pivot +-2^s clears a row
 as row + f * pivot row with f a rotation of the row's entry, at one
 product per pivot-row entry and no change to the determinant; at t = 2^K
-the relation entries t and -1 are such pivots.  A general pivot pv clears
-each of its targets as pv * row - v * pivot row, and only its targets past
+the relation entries t and -1 are such pivots, and -1 clears by integer
+arithmetic.  A general pivot pv clears each of its targets as
+pv * row + (-v) * pivot row, and only its targets past
 the first leave a factor pv to divide out, so one inverse runs at the end
 only where a general pivot had two or more targets.  Counted minor by
 minor over the first minors evaluated at the one point below, it runs on
 no P(-2,3,a) minor (those are a <= 53) and no T(2,n) minor (n <= 57), and
-once on every T(a,b) minor with a >= 3.  Every pivot it takes is non-zero
-mod p, so the determinant mod p is exact whatever the order.
+once on each of the 47 T(a,b) minors with 3 <= a < b (up to T(8,9) and
+T(3,31)).  Every pivot it takes is non-zero mod p, so the determinant mod
+p is exact whatever the order.
 
 Most pencils are evaluated at one point, t = 2^K (Kronecker substitution),
-by one such elimination.  On |t| = 1 every entry has |a + bt| <= |a| + |b|,
-so by Hadamard's inequality |det(A + tB)| < H = isqrt(prod_i sum_j
-(|a_ij| + |b_ij|)^2) + 1 there, and every coefficient, a Fourier
-coefficient of det on the unit circle, is below H as well.  With
-K = bits(H) + 2 each coefficient lies in (-2^(K-2), 2^(K-2)), so
-|det(2^K)| < 2^(K(n+1) - 1); modulo the smallest tabulated Mersenne prime
-above 2^(K(n+1) + 1) the symmetric lift of the residue is det(2^K) itself,
-and its balanced base-2^K digits, each in [-2^(K-1), 2^(K-1)), are the
-coefficients.  Past ONE_POINT_MAX_EXPONENT one wide evaluation costs more
-than n + 1 narrow ones, so there the pencil is evaluated at t = 2, 3, ...,
-n + 2, modulo the smallest tabulated Mersenne prime above twice the 1-norm
-bound below, and Newton interpolation mod p gives the coefficients.  On
+by one such elimination.  On |t| = 1 every entry has |a + bt| <= w_ij =
+|a_ij| + |b_ij|, so by Hadamard's inequality, in its row form and, since
+det M = det M^T, in its column form, |det(A + tB)| < H =
+isqrt(min(prod_i sum_j w_ij^2, prod_j sum_i w_ij^2)) + 1 there, and every
+coefficient, a Fourier coefficient of det on the unit circle, is below H
+as well.  With K = bits(H) + 2 each coefficient lies in
+(-2^(K-2), 2^(K-2)), so |det(2^K)| < 2^(K(n+1) - 1); modulo the smallest
+tabulated Mersenne prime above 2^(K(n+1) + 1) the symmetric lift of the
+residue is det(2^K) itself, and its balanced base-2^K digits, each in
+[-2^(K-1), 2^(K-1)), are the coefficients.  Past ONE_POINT_MAX_EXPONENT
+the pencil is evaluated at t = 2, 3, ..., n + 2 instead, modulo the
+smallest tabulated Mersenne prime above twice the 1-norm bound below, and
+Newton interpolation mod p gives the coefficients.  On
 that path the pivot order is chosen once, by _markowitz at a generic point
 modulo 2^61 - 1: the order is only a heuristic, since every replay checks
 its pivots, so a word-size modulus serves every pencil.  The order is
@@ -70,7 +75,7 @@ residue.
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import factorial, isqrt, prod
 
 from .errors import DiagramError
 
@@ -87,9 +92,12 @@ _ORDER_P = (1 << 61) - 1
 
 # The largest Mersenne exponent evaluated at one point.  Whole first minors
 # timed both ways (Python 3.11.7, 2-core Xeon, best of 5 runs): modulo
-# 2^4253 - 1 and 2^4423 - 1, one point took 6-10 ms against 8-15 ms for
-# n + 1 points (T(5,13), T(2,57), P(-2,3,53)); at the next exponent, 9689,
-# it took 19-37 ms against 9-17 ms (T(2,59), T(2,61), P(-2,3,55)).
+# 2^4253 - 1 and 2^4423 - 1, one point took 0.8-4.4 ms against 5-45 ms for
+# n + 1 points (T(2,57), P(-2,3,53), T(4,21), T(3,31), T(5,17)); at the next
+# exponent, 9689, it took 1.6-3.5 ms against 5.6-26 ms (T(2,59), T(2,61),
+# P(-2,3,55)).  One point is the faster path on both sides of the cutoff;
+# it stays here so that P(-2,3,55) and P(-2,3,95), whose first minors test
+# the n + 1-point path, keep taking it.
 ONE_POINT_MAX_EXPONENT = 4423
 
 # The interpolation points are t = _FIRST_T, ..., _FIRST_T + n.
@@ -138,9 +146,19 @@ def pencil_det(rows: list[Row]) -> list[int]:
 
 
 def _digit_width(rows: list[Row]) -> int:
-    """K = bits(H) + 2, where H = isqrt(prod_i sum_j (|a_ij| + |b_ij|)^2) + 1
-    exceeds every coefficient of det(A + tB) (see the module docstring)."""
-    h = isqrt(prod(sum((abs(a) + abs(b)) ** 2 for _, a, b in row) for row in rows)) + 1
+    """K = bits(H) + 2, where H = isqrt(min(prod_i sum_j w_ij^2,
+    prod_j sum_i w_ij^2)) + 1 with w_ij = |a_ij| + |b_ij| exceeds every
+    coefficient of det(A + tB) (see the module docstring)."""
+    row_sq = []
+    col_sq = [0] * len(rows)
+    for row in rows:
+        total = 0
+        for j, a, b in row:
+            w = (abs(a) + abs(b)) ** 2
+            total += w
+            col_sq[j] += w
+        row_sq.append(total)
+    h = isqrt(min(prod(row_sq), prod(col_sq))) + 1
     return h.bit_length() + 2
 
 
@@ -192,15 +210,19 @@ def _perm_sign(order: list[tuple[int, int]]) -> int:
     return sign
 
 
-def _shift(v: int, p: int) -> int:
-    """For v = -2^s modulo the Mersenne prime p = 2^e - 1, r = e - s, so that
-    -1/v = 2^r; for v = 2^s, -r, so that -1/v = -2^r; for any other v, 0."""
-    if not v & (v - 1):
-        return v.bit_length() - 1 - p.bit_length()
-    w = p - v
-    if not w & (w - 1):
-        return p.bit_length() - w.bit_length() + 1
-    return 0
+def _shift(v: int, e: int) -> int:
+    """For the balanced residue v of -2^s modulo the Mersenne prime
+    p = 2^e - 1, r = e - s, so that -1/v = 2^r; for v = 2^s, -r, so that
+    -1/v = -2^r; for any other v, 0.  Since 2^(e-1) > p/2, the residues of
+    +-2^(e-1) are -+(2^(e-1) - 1) = -+(p >> 1), and for them r = 1."""
+    a = abs(v)
+    if not a & (a - 1):
+        r = e + 1 - a.bit_length()
+    elif a == (1 << (e - 1)) - 1:
+        r, v = 1, -v
+    else:
+        return 0
+    return r if v < 0 else -r
 
 
 def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int, int]]]:
@@ -212,20 +234,29 @@ def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int,
     elimination by the inverse of the pivot would leave, so the zero
     pattern is that elimination's.
 
+    Every entry is held as its balanced residue, in (-p/2, p/2): -1 stays
+    -1, and a product of small entries stays small.  A product or a sum of
+    two, |x| < 2^(2e), is reduced by folding, (x & p) + (x >> e) twice,
+    which also holds for negative x and leaves x in [-1, p + 1], then by
+    one subtraction of p from x > p >> 1; a value already in the balanced
+    range is left as it is, so clearing by a +-1 pivot is integer
+    arithmetic until an entry outgrows p / 2.
+
     The pivot is in the shortest row, in one of its sparsest columns: an
     entry +-2^s if one of those holds one, then the lowest column.  A pivot
     pv = +-2^s clears target row k as row k + f * pivot row, where
     f = -v / pv is v rotated by e - s bits (2^-s = 2^(e-s) mod p), negated
     for pv = 2^s: one product per pivot-row entry, row k's other entries
     untouched and the matrix's determinant unchanged, so det takes pv.  A
-    general pivot pv clears each of its t target rows as pv * row -
-    v * pivot row, which multiplies the determinant by pv^t, while the
+    general pivot pv clears each of its t target rows as pv * row +
+    (-v) * pivot row, which multiplies the determinant by pv^t, while the
     pivot itself contributes pv to it: det / den changes by pv^(1 - t), so
     den takes pv^(t - 1) for t >= 1 (nothing for one target) and det takes
     pv for t = 0.  The inverse of den is taken once, at the end, only when
     den != 1."""
     e = p.bit_length()
-    rows = [dict(r) for r in rows]
+    h = p >> 1
+    rows = [{j: v - p if v > h else v for j, v in r.items()} for r in rows]
     in_col: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
         for j in r:
@@ -238,46 +269,53 @@ def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int,
         piv_row = rows[i]
         if not piv_row:
             return 0, order
-        j = min(piv_row, key=lambda j: (len(in_col[j]), not _shift(piv_row[j], p), j))
+        j = min(piv_row, key=lambda j: (len(in_col[j]), not _shift(piv_row[j], e), j))
         live.discard(i)
         for jj in piv_row:
             in_col[jj].discard(i)
         order.append((i, j))
         pv = piv_row.pop(j)
         targets = in_col.pop(j)
-        rot = _shift(pv, p)
+        rot = _shift(pv, e)
         if rot or not targets:
             x = det * pv
-            x = (x & p) + (x >> e)
-            x = (x & p) + (x >> e)
-            det = x - p if x >= p else x
+            if not -h <= x <= h:
+                x = (x & p) + (x >> e)
+                x = (x & p) + (x >> e)
+                x = x - p if x > h else x
+            det = x
         else:
             for _ in range(len(targets) - 1):
                 x = den * pv
-                x = (x & p) + (x >> e)
-                x = (x & p) + (x >> e)
-                den = x - p if x >= p else x
+                if not -h <= x <= h:
+                    x = (x & p) + (x >> e)
+                    x = (x & p) + (x >> e)
+                    x = x - p if x > h else x
+                den = x
         for k in targets:
             r = rows[k]
             v = r.pop(j)
             if rot:
-                # f = -v / pv: v, or p - v for pv = 2^s, rotated by |rot| bits
+                # f = -v / pv: v, or -v for pv = 2^s, rotated by |rot| bits
                 a = 1
-                x = (v if rot > 0 else p - v) << abs(rot)
+                x = (v if rot > 0 else -v) << abs(rot)
                 f = (x & p) + (x >> e)
             else:
-                a, f = pv, p - v
+                a, f = pv, -v
                 for jj, w in r.items():
                     if jj not in piv_row:
                         x = pv * w
-                        x = (x & p) + (x >> e)
-                        x = (x & p) + (x >> e)
-                        r[jj] = x - p if x >= p else x
+                        if not -h <= x <= h:
+                            x = (x & p) + (x >> e)
+                            x = (x & p) + (x >> e)
+                            x = x - p if x > h else x
+                        r[jj] = x
             for jj, w in piv_row.items():
                 x = a * r.get(jj, 0) + f * w
-                x = (x & p) + (x >> e)
-                x = (x & p) + (x >> e)
-                x = x - p if x >= p else x
+                if not -h <= x <= h:
+                    x = (x & p) + (x >> e)
+                    x = (x & p) + (x >> e)
+                    x = x - p if x > h else x
                 if x:
                     if jj not in r:
                         in_col[jj].add(k)
@@ -286,7 +324,7 @@ def _markowitz(rows: list[dict[int, int]], p: int) -> tuple[int, list[tuple[int,
                     del r[jj]
                     in_col[jj].discard(k)
     if den != 1:
-        det = det * pow(den, -1, p) % p
+        det = det * pow(den, -1, p)
     return _perm_sign(order) * det % p, order
 
 
@@ -332,9 +370,11 @@ def _compile(rows: list[Row], order: list[tuple[int, int]]):
 
 def _replay(compiled, t: int, p: int) -> int | None:
     """det(A + tB) mod the Mersenne prime p = 2^e - 1 by the compiled
-    elimination; None when a pivot vanishes at this t.  Each target row
-    scaled by a pivot pv puts one factor pv into `den`, which is divided out
-    once at the end.  Values stay in [0, p): the subtracted term is
+    elimination; None when a pivot vanishes at this t.  A step whose pivot
+    pv scales c >= 1 target rows (those non-zero in the pivot column at
+    this t) puts pv^(c - 1) into `den`, and one that scales none puts pv
+    into det, by _markowitz's rule; den is divided out once at the end,
+    unless it is 1.  Values stay in [0, p): the subtracted term is
     (p - v) * w, and every product or sum of two products x < 2^(2e + 1) is
     reduced by folding, x = (x & p) + (x >> e) twice, which leaves
     x <= 2^e + 2, then one conditional subtraction of p."""
@@ -349,17 +389,16 @@ def _replay(compiled, t: int, p: int) -> int | None:
         pv = vals[piv]
         if not pv:
             return None
-        x = det * pv
-        x = (x & p) + (x >> e)
-        x = (x & p) + (x >> e)
-        det = x - p if x >= p else x
+        scaled_any = False
         for s, pairs, scaled in targets:
             v = vals[s]
             if v:
-                x = den * pv
-                x = (x & p) + (x >> e)
-                x = (x & p) + (x >> e)
-                den = x - p if x >= p else x
+                if scaled_any:
+                    x = den * pv
+                    x = (x & p) + (x >> e)
+                    x = (x & p) + (x >> e)
+                    den = x - p if x >= p else x
+                scaled_any = True
                 nv = p - v
                 for dst, src in pairs:
                     x = pv * vals[dst] + nv * vals[src]
@@ -371,23 +410,30 @@ def _replay(compiled, t: int, p: int) -> int | None:
                     x = (x & p) + (x >> e)
                     x = (x & p) + (x >> e)
                     vals[dst] = x - p if x >= p else x
-    return det * pow(den, -1, p) % p
+        if not scaled_any:
+            x = det * pv
+            x = (x & p) + (x >> e)
+            x = (x & p) + (x >> e)
+            det = x - p if x >= p else x
+    return det if den == 1 else det * pow(den, -1, p) % p
 
 
 def _interpolate(values: list[int], p: int) -> list[int]:
     """Coefficients mod p of the polynomial f of degree <= n, where
     n + 1 = len(values), with f(t) = values[t - 2] at t = 2, 3, ..., n + 2:
     the Newton coefficients are the forward differences at 2 divided by k!,
-    and the Newton form sum c_k (t-2)(t-3)...(t-k-1) is expanded by
-    Horner's rule."""
-    newton = []
+    by one inverse of n! walked down as 1/(k - 1)! = k/k!, and the Newton
+    form sum c_k (t-2)(t-3)...(t-k-1) is expanded by Horner's rule."""
+    leading = []
     diffs = list(values)
-    fact = 1
-    for k in range(len(values)):
-        if k:
-            fact = fact * k % p
-        newton.append(diffs[0] * pow(fact, -1, p) % p)
+    while diffs:
+        leading.append(diffs[0])
         diffs = [(b - a) % p for a, b in zip(diffs, diffs[1:])]
+    inv = pow(factorial(len(values) - 1) % p, -1, p)
+    newton = [0] * len(values)
+    for k in range(len(values) - 1, -1, -1):
+        newton[k] = leading[k] * inv % p
+        inv = inv * k % p
     coeffs: list[int] = []
     for k in range(len(newton) - 1, -1, -1):
         coeffs = [(a - (_FIRST_T + k) * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]

@@ -4,7 +4,7 @@ import os
 import resource
 import subprocess
 import sys
-from math import isqrt, prod
+from math import factorial, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -268,11 +268,12 @@ def _pushed(a, b, side):
     """The pencil as (column, a, b) rows, bordered by one more row and
     column holding the constant 2^s: s = 0 when side is None, else the s
     that puts the one-point exponent bound width * (n + 1) + 1 just below
-    or just above ONE_POINT_MAX_EXPONENT.  A zero row holds H at 1 whatever
-    the border, so such a pencil is not pushed.  Also returns the bordered
-    A and B and the side reached."""
+    or just above ONE_POINT_MAX_EXPONENT.  A zero row or column holds H at 1
+    whatever the border, so such a pencil is not pushed.  Also returns the
+    bordered A and B and the side reached."""
     n = len(a)
-    if not all(any(ra) or any(rb) for ra, rb in zip(a, b)):
+    entries = [[x or y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    if not all(map(any, entries)) or not all(map(any, zip(*entries))):
         side = None
 
     def bordered(s):
@@ -302,11 +303,13 @@ def test_one_point_and_n_plus_1_points_match_oracles(pencil, side):
     """Both evaluations of det(A + tB), called directly on the same pencil,
     against cofactors and fraction-free Z[t] elimination, with pencils
     bordered by a constant that puts the one-point modulus just either side
-    of the cutoff; no coefficient exceeds H."""
+    of the cutoff; no coefficient exceeds H, taken from the smaller of the
+    row and column forms of Hadamard's bound."""
     rows, a, b, side = _pushed(*pencil, side)
     expected = det_cofactor(_pencil_poly(a, b))
     assert det_bareiss(_pencil_poly(a, b)) == expected
-    h = isqrt(prod(sum((abs(x) + abs(y)) ** 2 for _, x, y in row) for row in rows)) + 1
+    weights = [[(abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    h = isqrt(min(prod(map(sum, weights)), prod(map(sum, zip(*weights))))) + 1
     width = sparse._digit_width(rows)
     assert width == h.bit_length() + 2
     one_point = sparse._det_at_one_point(rows, width)
@@ -388,11 +391,12 @@ def test_relation_minors_need_no_second_markowitz(monkeypatch, registry):
     [
         (torus_diagram(TorusParams(2, 31)), torus_alexander(TorusParams(2, 31)), 1, 1279),
         (pretzel_diagram(PretzelParams(33)), pretzel_alexander(PretzelParams(33)), 1, 2203),
-        (torus_diagram(TorusParams(5, 13)), torus_alexander(TorusParams(5, 13)), 1, 4253),
+        (torus_diagram(TorusParams(5, 13)), torus_alexander(TorusParams(5, 13)), 1, 3217),
+        (torus_diagram(TorusParams(7, 10)), torus_alexander(TorusParams(7, 10)), 1, 3217),
         (pretzel_diagram(PretzelParams(55)), pretzel_alexander(PretzelParams(55)), 59 + 1, 127),
         (pretzel_diagram(PretzelParams(95)), pretzel_alexander(PretzelParams(95)), 99 + 1, 521),
     ],
-    ids=["T(2,31)", "P(-2,3,33)", "T(5,13)", "P(-2,3,55)", "P(-2,3,95)"],
+    ids=["T(2,31)", "P(-2,3,33)", "T(5,13)", "T(7,10)", "P(-2,3,55)", "P(-2,3,95)"],
 )
 def test_first_minor_under_each_modulus(monkeypatch, diagram, closed_form, points, exponent):
     """Each minor is evaluated at one point below the cutoff, modulo the
@@ -462,6 +466,12 @@ P61, P521 = (1 << 61) - 1, (1 << 521) - 1
 # column 2 and -12 in column 1 (-8/3 and -4 in the oracle), so column 2; det 4
 @example(([{0: 3, 1: 6, 2: 5}, {0: 7, 1: 10, 2: 9}, {0: 11, 1: 13, 2: 12}], P61))
 @example(([{0: 3, 1: 5}, {0: 7, 1: 9}], P61))  # one general pivot, one target: den = 1, det -8
+# 2^520 and -2^520 mod 2^521 - 1 lie above p / 2, so their balanced residues
+# are -(2^520 - 1) and 2^520 - 1; each is still a shift pivot, chosen over 3
+@example(([{0: 3, 1: 1 << 520}, {0: 5, 1: 6, 2: 7}, {0: 9, 1: 10, 2: 11}], P521))
+@example(([{0: 3, 1: P521 - (1 << 520)}, {0: 5, 1: 6, 2: 7}, {0: 9, 1: 10, 2: 11}], P521))
+# small negative entries: the pivot -1 clears by integer arithmetic; det -182
+@example(([{0: P61 - 3, 1: P61 - 1, 2: 5}, {0: 2, 1: P61 - 7, 2: P61 - 1}, {0: P61 - 2, 1: 4, 2: P61 - 6}], P61))
 @settings(max_examples=200, deadline=None)
 def test_fraction_free_markowitz_matches_the_inverse_based_oracle(case):
     """The fraction-free elimination with folded products and rotations
@@ -507,6 +517,23 @@ def test_pretzel_and_two_strand_torus_minors_take_no_inverse(monkeypatch):
         calls.clear()
         first_minor(alexander_matrix(diagram))
         assert bool(calls) == inverse, diagram.name
+
+
+def test_two_strand_torus_minor_at_n_plus_1_points_inverts_only_n_factorial(monkeypatch):
+    """T(2,59) is past the one-point cutoff, so its minor is evaluated at
+    n + 1 points.  Every step of its ordering run and of its replays scales
+    at most one target row, so neither divides anything out, and the
+    interpolation inverts n! once: one pow call in all."""
+    rows = []
+    monkeypatch.setattr(qfox.laurent, "pencil_det", lambda r: rows.append(r) or sparse.pencil_det(r))
+    calls = []
+    monkeypatch.setattr(sparse, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+    minor = first_minor(alexander_matrix(torus_diagram(TorusParams(2, 59))))
+    assert reduce_normalize(minor, components=1) == torus_alexander(TorusParams(2, 59))
+    (pencil,) = rows
+    p = sparse.pencil_modulus(pencil)
+    assert sparse._digit_width(pencil) * (len(pencil) + 1) + 1 >= sparse.ONE_POINT_MAX_EXPONENT
+    assert calls == [(factorial(len(pencil)) % p, -1, p)]
 
 
 def test_pencil_modulus_is_the_first_mersenne_prime_above_twice_the_bound():
