@@ -10,12 +10,15 @@ k of them.  "Large enough" means m > max|c_i|, or m > max|c_i| + 1 in the
 single exceptional pattern where the two last non-zero coefficients before
 c_k are both negative.  All log computations are exact integer loops.
 
-Primality is decided in three regimes.  Below 4,759,123,141 a value that
-passes the base-2 strong test is settled by strong tests to bases 7 and 61
-(Jaeschke, Math. Comp. 61, 1993).  Between 2^64 and psi_13 strong tests to
-the 13 primes up to 41 prove it (Sorenson-Webster).  Everywhere else a
-strong Lucas test completes Baillie-PSW, proven below 2^64 and only probable
-from psi_13 on.
+Primality is decided in three regimes, after trial division by one gcd:
+with the product of the 13 primes up to 41 below 2^64, and with the product
+of the primes below 4000, reduced mod n, from 2^64 on.  Below 4,759,123,141
+a value that passes the base-2 strong test is settled by strong tests to
+bases 7 and 61 (Jaeschke, Math. Comp. 61, 1993).  Between 2^64 and psi_13
+strong tests to the 13 primes up to 41 prove it (Sorenson-Webster).
+Everywhere else a strong Lucas test completes Baillie-PSW, proven below
+2^64 and only probable from psi_13 on; its ladder runs on V(1/Q - 2, 1) at
+two products a bit.
 
 prime_scan sieves before it tests.  The values of an integer polynomial
 repeat mod q with period q in m, so the first q values of a window show
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .errors import BoundsError, CompositeValueError
@@ -44,17 +47,39 @@ from .laurent import LaurentPoly
 # Primality
 # ---------------------------------------------------------------------------
 
-# Trial division by the witnesses, then one base-2 strong test.  Below
-# 4,759,123,141 = 48781 * 97561, the least composite passing strong tests to
-# bases 2, 7 and 61, the other two settle n (Jaeschke, Math. Comp. 61, 1993).
-# For 2^64 <= n < psi_13 strong tests to the other witnesses, all 13 primes
-# up to 41, make the answer proven (Sorenson-Webster, Math. Comp. 86, 2017).
-# Every other n gets a strong Lucas test, completing Baillie-PSW: proven
-# below 2^64, where no base-2 strong pseudoprime is a strong Lucas
-# pseudoprime (Feitsma-Galway enumeration), and only probable from psi_13 on.
+# Trial division by one gcd, then one base-2 strong test.  Below 2^64 the
+# gcd is taken with the product of the 13 witnesses, the primes up to 41,
+# since there the larger product made scans 1.02-1.07x slower; from 2^64
+# on, with the product of the primes below _TRIAL_BOUND reduced mod n,
+# which costs a few microseconds where a strong test costs tens.
+# Below 4,759,123,141 = 48781 * 97561, the least composite passing strong
+# tests to bases 2, 7 and 61, the other two settle n (Jaeschke, Math. Comp.
+# 61, 1993).  For 2^64 <= n < psi_13 strong tests to the other witnesses
+# make the answer proven (Sorenson-Webster, Math. Comp. 86, 2017).  Every
+# other n gets a strong Lucas test, completing Baillie-PSW: proven below
+# 2^64, where no base-2 strong pseudoprime is a strong Lucas pseudoprime
+# (Feitsma-Galway enumeration), and only probable from psi_13 on.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _JAESCHKE_BELOW = 4_759_123_141
 MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
+# The primes below 30,000 made scans of values past 2^64 1.2-1.6x slower
+# (2-core Xeon, Python 3.11.7): the remainder grows with the product.
+_TRIAL_BOUND = 4000
+
+
+def _primes_below(bound: int) -> list[int]:
+    """The primes below bound, by a bytearray sieve of Eratosthenes."""
+    sieve = bytearray(b"\x01") * bound
+    sieve[:2] = bytes(2)
+    for q in range(2, isqrt(bound - 1) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, bound, q)))
+    return list(compress(range(bound), sieve))
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+_WITNESS_PRODUCT = prod(_MR_WITNESSES)
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 
 def _strong_probable_prime(n: int, a: int, d: int, r: int) -> bool:
@@ -72,18 +97,20 @@ def _strong_probable_prime(n: int, a: int, d: int, r: int) -> bool:
 
 
 def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
+    """Jacobi symbol (a/n) for odd n > 0.  Each pass strips every factor 2
+    of a at once, which flips the sign for an odd count when n = 3, 5
+    (mod 8), and then swaps a and n by reciprocity, which flips it when
+    both are 3 (mod 4)."""
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
             result = -result
-        a %= n
+        if a & n & 2:
+            result = -result
+        a, n = n % a, a
     return result if n == 1 else 0
 
 
@@ -92,11 +119,26 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
 
     With n + 1 = k 2^s, k odd, n passes when U_k = 0 or V_(k 2^r) = 0 for
-    some 0 <= r < s (mod n).  The ladder carries V_j, V_(j+1) and Q^j only:
-    D U_k = 2 V_(k+1) - P V_k, and (D/n) = -1 makes D a unit mod n, so
-    U_k = 0 exactly when 2 V_(k+1) = V_k.  The test so decides what the
-    chain of U and V decides, and is the strong Lucas test of Baillie-PSW
-    with its proof below 2^64."""
+    some 0 <= r < s (mod n).  D is a unit mod n, since (D/n) = -1, and so
+    is Q.  A prime l dividing Q and n has D = 1 (mod l), so |D| > l, as
+    D = 1 - l would make 4Q = l.  The search takes |D| in increasing order,
+    so it met l or -l before D, or 9 for l = 3, where the symbol is 0; it
+    returned False there, since n = l would give D = 1 (mod n) and
+    (D/n) = 1.
+
+    The ladder runs on W_j = V_j(P', 1) with P' = P^2/Q - 2 = 1/Q - 2
+    (mod n): alpha^2/Q and beta^2/Q have product 1 and sum P', so
+    V_2j = Q^j W_j.  W takes two products a bit: from (W_0, W_1) = (2, P')
+    up the bits of h - 1, h = (k + 1)/2, W_2j = W_j^2 - 2 and
+    W_(2j+1) = W_j W_(j+1) - P', to (W_(h-1), W_h).  Since k = 2h - 1,
+    V_(k+1) = Q^h W_h and V_(k-1) = Q^(h-1) W_(h-1), and
+    V_(k+1) + Q V_(k-1) = P V_k, V_(k+1) - Q V_(k-1) = D U_k give
+    V_k = Q^h (W_h + W_(h-1)) and D U_k = Q^h (W_h - W_(h-1)).  So U_k = 0
+    exactly when W_h = W_(h-1), V_k = 0 exactly when W_h + W_(h-1) = 0,
+    and for 1 <= r < s, V_(k 2^r) = 0 exactly when W_(k 2^(r-1)) = 0,
+    where W_k = W_h W_(h-1) - P' and each doubling is one squaring.  The
+    test so decides what the chain of U and V decides, and is the strong
+    Lucas test of Baillie-PSW with its proof below 2^64."""
     if isqrt(n) ** 2 == n:
         return False        # no D would have (D/n) = -1
     d = 5
@@ -108,31 +150,34 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False    # gcd(D, n) is a proper factor
         d = -d - 2 if d > 0 else -d + 2
     q = (1 - d) // 4
+    pp = (pow(q, -1, n) - 2) % n
     s = ((n + 1) & -(n + 1)).bit_length() - 1
-    k = (n + 1) >> s
-    # From j = 1 up the bits of k: V_2j = V_j^2 - 2 Q^j,
-    # V_(2j+1) = V_j V_(j+1) - P Q^j and V_(2j+2) = V_(j+1)^2 - 2 Q^(j+1).
-    v, v1, qk = 1, (1 - 2 * q) % n, q % n
-    for bit in bin(k)[3:]:
+    h = (((n + 1) >> s) + 1) >> 1
+    w, w1 = 2, pp
+    for bit in bin(h - 1)[2:]:
         if bit == "1":
-            v, v1, qk = (v * v1 - qk) % n, (v1 * v1 - 2 * qk * q) % n, qk * qk * q % n
+            w, w1 = (w * w1 - pp) % n, (w1 * w1 - 2) % n
         else:
-            v, v1, qk = (v * v - 2 * qk) % n, (v * v1 - qk) % n, qk * qk % n
-    if (2 * v1 - v) % n == 0 or v == 0:
+            w, w1 = (w * w - 2) % n, (w * w1 - pp) % n
+    if w1 == w or (w1 + w) % n == 0:
         return True
+    w = (w * w1 - pp) % n
     for _ in range(s - 1):
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
-        if v == 0:
+        if w == 0:
             return True
+        w = (w * w - 2) % n
     return False
 
 
 def _is_prime(n: int) -> bool:
+    """Primality of n, in the regimes above.  A trial gcd other than 1
+    means a trial prime divides n, so n is prime exactly when it is a
+    witness: below 2^64 only witnesses are in the product, and from 2^64 on
+    n exceeds every prime in it."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    if gcd(n, _WITNESS_PRODUCT if n < 1 << 64 else _TRIAL_PRODUCT % n) != 1:
+        return n in _MR_WITNESSES
     r = ((n - 1) & -(n - 1)).bit_length() - 1
     d = (n - 1) >> r
     if not _strong_probable_prime(n, 2, d, r):
@@ -212,8 +257,6 @@ def _brent(n: int, c: int, y: int, budget: int) -> tuple[int | None, int]:
     walked again one step at a time (those steps are not counted).  d = n
     means this walk failed, and d is None when the next gcd lies past the
     budget."""
-    from math import gcd
-
     steps = 0
     g = q = r = 1
     while g == 1:
@@ -449,7 +492,7 @@ def improved_lower_bound(poly: LaurentPoly, m: int, name: str = "") -> BoundRepo
 # The scan sieve: the 78 primes below 400, and the number of consecutive m
 # evaluated and sieved at once.  A block holds at least _SIEVE_PRIMES[-1]
 # values, so the first block of a window shows every root class.
-_SIEVE_PRIMES = tuple([q for q in range(2, 400) if all(q % f for f in range(2, isqrt(q) + 1))])
+_SIEVE_PRIMES = tuple([q for q in _TRIAL_PRIMES if q < 400])
 _SCAN_BLOCK = 1024
 
 

@@ -374,17 +374,18 @@ def _replay(compiled, t: int, p: int) -> int | None:
     pv scales c >= 1 target rows (those non-zero in the pivot column at
     this t) puts pv^(c - 1) into `den`, and one that scales none puts pv
     into det, by _markowitz's rule; den is divided out once at the end,
-    unless it is 1.  Values stay in [0, p): the subtracted term is
-    (p - v) * w, and every product or sum of two products x < 2^(2e + 1) is
-    reduced by folding, x = (x & p) + (x >> e) twice, which leaves
-    x <= 2^e + 2, then one conditional subtraction of p."""
+    unless it is 1.  Values are held as balanced residues and folded as in
+    _markowitz, only once they leave (-p/2, p/2), so at t = 2, 3, ... the
+    entries -1 and 1 - t stay small and their products are not e-bit
+    multiplies."""
     init, steps, size, sign = compiled
     e = p.bit_length()
+    h = p >> 1
     vals = [0] * size
     for s, a, b in init:
-        vals[s] = (a + b * t) % p
-    det = sign % p
-    den = 1
+        x = (a + b * t) % p
+        vals[s] = x - p if x > h else x
+    det, den = sign, 1
     for piv, targets in steps:
         pv = vals[piv]
         if not pv:
@@ -395,27 +396,34 @@ def _replay(compiled, t: int, p: int) -> int | None:
             if v:
                 if scaled_any:
                     x = den * pv
-                    x = (x & p) + (x >> e)
-                    x = (x & p) + (x >> e)
-                    den = x - p if x >= p else x
+                    if not -h <= x <= h:
+                        x = (x & p) + (x >> e)
+                        x = (x & p) + (x >> e)
+                        x = x - p if x > h else x
+                    den = x
                 scaled_any = True
-                nv = p - v
                 for dst, src in pairs:
-                    x = pv * vals[dst] + nv * vals[src]
-                    x = (x & p) + (x >> e)
-                    x = (x & p) + (x >> e)
-                    vals[dst] = x - p if x >= p else x
+                    x = pv * vals[dst] - v * vals[src]
+                    if not -h <= x <= h:
+                        x = (x & p) + (x >> e)
+                        x = (x & p) + (x >> e)
+                        x = x - p if x > h else x
+                    vals[dst] = x
                 for dst in scaled:
                     x = pv * vals[dst]
-                    x = (x & p) + (x >> e)
-                    x = (x & p) + (x >> e)
-                    vals[dst] = x - p if x >= p else x
+                    if not -h <= x <= h:
+                        x = (x & p) + (x >> e)
+                        x = (x & p) + (x >> e)
+                        x = x - p if x > h else x
+                    vals[dst] = x
         if not scaled_any:
             x = det * pv
-            x = (x & p) + (x >> e)
-            x = (x & p) + (x >> e)
-            det = x - p if x >= p else x
-    return det if den == 1 else det * pow(den, -1, p) % p
+            if not -h <= x <= h:
+                x = (x & p) + (x >> e)
+                x = (x & p) + (x >> e)
+                x = x - p if x > h else x
+            det = x
+    return (det if den == 1 else det * pow(den, -1, p)) % p
 
 
 def _interpolate(values: list[int], p: int) -> list[int]:

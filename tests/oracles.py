@@ -38,9 +38,9 @@ value, against the block sieve of qfox.bounds.prime_scan.  hironaka_quotient
 is the rational form of the pretzel polynomial, an exact division by
 (1+t)^3, against the closed form of qfox.families.pretzel_alexander.
 strong_lucas_uv is the strong Lucas test on the chain of U and V, against
-the V-only ladder of qfox.bounds.  smallest_prime_factor factors the
-values the tests need prime, with the trial division and rho search that
-qfox.bounds runs on a composite p.
+the ladder on V(1/Q - 2, 1) of qfox.bounds.  smallest_prime_factor factors
+the values the tests need prime, with the trial division and rho search
+that qfox.bounds runs on a composite p.
 """
 
 from fractions import Fraction

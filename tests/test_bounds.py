@@ -27,6 +27,7 @@ from qfox import (
 from qfox import bounds
 from qfox.bounds import (
     _SIEVE_PRIMES,
+    _jacobi,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     floor_log,
@@ -91,6 +92,66 @@ def test_v_only_lucas_ladder_passes_the_strong_lucas_pseudoprimes():
         assert _strong_lucas_probable_prime(n) and strong_lucas_uv(n)
     for n in (*SPSP2, *PSI[:12], 2**67 - 1):
         assert _strong_lucas_probable_prime(n) == strong_lucas_uv(n)
+
+
+def test_w_ladder_matches_the_u_v_chain_on_every_odd_n_to_50001():
+    """Every Selfridge D the search stops at below 50,001, every s up to
+    15, and both early exits: a perfect square and a symbol 0."""
+    for n in range(3, 50_002, 2):
+        assert _strong_lucas_probable_prime(n) == strong_lucas_uv(n), n
+
+
+@example(2**127 - 1)                    # prime
+@example(2**255 - 19)                   # prime
+@example((2**89 - 1) * (2**107 - 1))
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2**63, 2**256 - 1).map(lambda n: n | 1))
+def test_w_ladder_matches_the_u_v_chain_from_64_to_256_bits(n):
+    assert _strong_lucas_probable_prime(n) == strong_lucas_uv(n)
+
+
+@example(-7, 15)                        # a < 0
+@example(0, 1)
+@example(0, 9)                          # a = 0
+@example(2**40, 3**25)                  # even a, a power of 2
+@example(24, 35)                        # even a, an odd count of twos
+@example(2**70 + 3, 101)                # a >= n
+@example(101, 101)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2**80, 2**80), st.integers(0, 2**70).map(lambda k: 2 * k + 1))
+def test_jacobi_matches_sympy(a, n):
+    sympy = pytest.importorskip("sympy")
+    assert _jacobi(a, n) == sympy.jacobi_symbol(a, n)
+
+
+def test_trial_gcd_settles_small_factors_without_a_strong_test(monkeypatch):
+    """Below 2^64 the gcd with the product of the witnesses settles a
+    witness and a product of two; from 2^64 on the gcd with the product of
+    the primes below 4000 rejects a value with a factor from 43 up, also
+    one larger than that product.  A factor of 4001 is left to the strong
+    test."""
+    def primes(lo, hi):
+        return [q for q in range(max(lo, 2), hi) if all(q % f for f in range(2, isqrt(q) + 1))]
+
+    def strong(n, a, d, r):
+        raise AssertionError(f"strong test of {n}")
+
+    monkeypatch.setattr(bounds, "_strong_probable_prime", strong)
+    witnesses = primes(2, 42)
+    assert len(witnesses) == 13
+    for w in witnesses:
+        assert bounds._is_prime(w)
+        assert is_odd_prime(w) == (w != 2)
+    for i, a in enumerate(witnesses):
+        for b in witnesses[i:]:
+            assert not is_odd_prime(a * b)
+    m61 = 2**61 - 1
+    for q in primes(43, 4000):
+        assert q * m61 >= 2**64
+        assert not is_odd_prime(q * m61)
+    assert not is_odd_prime(3989 * (2**5700 + 1))
+    with pytest.raises(AssertionError, match="strong test"):
+        is_odd_prime(4001 * m61)
 
 
 def test_large_prime_deterministic_range():
