@@ -28,10 +28,10 @@ The prefixes come in runs of p, x + c * inner with inner the last prefix
 vector, and across a run each group moves along a line of its own.  So one
 count per group, made as a line is counted below, bounds all p prefixes of
 a run at once: a run whose weakest bounds are turned down is skipped whole,
-and only the prefixes still taken are stepped to.  No group is counted
-where the most a group count could show, the largest group's size, would
-not turn a line down, and the first p prefixes that need bounds, which
-cost about as much as building the run counter, take one set per group.
+and only the prefixes still taken are stepped to.  The lone last prefix
+is bounded the same way, as a run of one.  No group is counted where the
+most a group count could show, the largest group's size, would not turn a
+line down.
 
 For p < 128 the colors of a whole line are counted at once.
 For each coordinate s of step, a pattern of p rows of 2p bits, each padded
@@ -287,12 +287,11 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, walk_line):
     (_group_runs) gives the group bounds of every prefix of a run at once;
     where walk_line turns down the run's weakest bound, the whole run is
     skipped, and otherwise only the prefixes whose bounds it still takes
-    are stepped to.  Before any group is counted, walk_line is asked about
-    the strongest bound a count could give, the largest group's size: where
-    it takes that, it takes every prefix's bound, and none is counted.
-    Building the run counter costs about p prefix bounds, so runs are
-    bounded a prefix at a time, with one set per group, until p prefixes
-    have been, and so is the lone last prefix."""
+    are stepped to.  The lone last prefix, rest[-2] itself, is a run of one:
+    it takes the first bound of the run it starts.  Before any group is
+    counted, walk_line is asked about the strongest bound a count could
+    give, the largest group's size: where it takes that, it takes every
+    prefix's bound, and none is counted."""
     q = len(rest[-1])
     bitmask = p < 128
     if bitmask:
@@ -305,11 +304,9 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, walk_line):
     for i, c in enumerate(rest[-1]):
         groups.setdefault(c, []).append(i)
     shared = [g for g in groups.values() if len(g) > 1]
-    getters = [itemgetter(*g) for g in shared]
     probe = max(map(len, shared), default=1)
     count_line = (_bitmask_lines if bitmask else _meeting_lines)(rest[-1], p)
     group_runs = None
-    bounded = 0         # prefixes bounded one at a time
     inner = prefixes[-1]
     for j in range(len(prefixes)):
         # The bases of the runs step through the other digits of the prefix;
@@ -319,34 +316,24 @@ def _walk_lines(rest: list[tuple[int, ...]], p: int, walk_line):
         digits = [0] * len(outer)
         base = prefixes[j]
         while True:
-            lowers = one_by_one = None
+            lowers = None
             x, at = base, 0     # the prefix stepped to last, base + at * inner
             for c in range(size):
-                by_sets = False
                 if lowers is None and not walk_line(probe):
                     if not shared:
                         break       # the probe is every prefix's bound
-                    if one_by_one is None:
-                        one_by_one = bounded < p or size == 1
-                    if one_by_one:
-                        bounded += 1
-                        by_sets = True
-                    else:
-                        if group_runs is None:
-                            group_runs = _group_runs(shared, rest[-2], p, bitmask)
-                        per_group = group_runs(read(base))
-                        if not walk_line(max(map(min, per_group))):
-                            break
-                        lowers = [max(t) for t in zip(*per_group)]
+                    if group_runs is None:
+                        group_runs = _group_runs(shared, rest[-2], p, bitmask)
+                    per_group = group_runs(read(base))
+                    if not walk_line(max(map(min, per_group))):
+                        break
+                    lowers = [max(t) for t in zip(*per_group)]
                 if lowers is not None and not walk_line(lowers[c]):
                     continue
                 while at < c:
                     x = add(x, inner)
                     at += 1
                 colors = read(x)
-                if by_sets:
-                    if not walk_line(max([len(set(get(colors))) for get in getters])):
-                        continue
                 run = count_line(colors, walk_line)
                 if run is not None:
                     yield *run, colors, rest[-1]

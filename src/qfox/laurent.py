@@ -98,17 +98,6 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple([-c for c in self.coeffs]), self.min_exp)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero or other.is_zero:
-            return LaurentPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentPoly(tuple(out), self.min_exp + other.min_exp)
-
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
         if self.is_zero:

@@ -90,14 +90,22 @@ MERSENNE_EXPONENTS = (
 _GENERIC_T = 0x9E3779B97F4A7C15
 _ORDER_P = (1 << 61) - 1
 
-# The largest Mersenne exponent evaluated at one point.  Whole first minors
-# timed both ways (Python 3.11.7, 2-core Xeon, best of 5 runs): modulo
-# 2^4253 - 1 and 2^4423 - 1, one point took 0.8-4.4 ms against 5-45 ms for
-# n + 1 points (T(2,57), P(-2,3,53), T(4,21), T(3,31), T(5,17)); at the next
-# exponent, 9689, it took 1.6-3.5 ms against 5.6-26 ms (T(2,59), T(2,61),
-# P(-2,3,55)).  One point is the faster path on both sides of the cutoff;
-# it stays here so that P(-2,3,55) and P(-2,3,95), whose first minors test
-# the n + 1-point path, keep taking it.
+# The largest Mersenne exponent evaluated at one point.  First minors timed
+# both ways, each path called directly (Python 3.11.7, 2-core Xeon, best of
+# 2 to 5 runs in one process): modulo 2^4253 - 1 and 2^4423 - 1, one point
+# took 0.8-4.4 ms against 5-45 ms for n + 1 points (T(2,57), P(-2,3,53),
+# T(4,21), T(3,31), T(5,17)).  Modulo 2^9689 - 1 to 2^11213 - 1 it took
+# 0.06-0.80 of the n + 1-point time on all 53 minors timed: T(a,b) with
+# 3 <= a <= 11 and at most 130 crossings, and P(-2,3,a).  Modulo
+# 2^19937 - 1 it won on T(3,b) (0.17-0.26) and on P(-2,3,91..115)
+# (0.06-0.08), but lost on denser torus knots: T(6,23) took 1.43 times the
+# n + 1-point time, T(8,17) 1.33, T(7,20) 1.28 and T(11,13) 1.12.  So 11213
+# is the highest exponent at which one point won every minor timed.  Past
+# the table, with larger proven Mersenne exponents, it lost 3.0 times on
+# T(5,76), 3.8 on T(7,51), 2.2 on T(11,31) and 1.3 on T(2,1001), and won
+# 19 times on P(-2,3,301), so the n + 1-point path keeps its place.  The
+# cutoff stays at 4423 so that P(-2,3,55) and P(-2,3,95), whose first
+# minors test the n + 1-point path, keep taking it.
 ONE_POINT_MAX_EXPONENT = 4423
 
 # The interpolation points are t = _FIRST_T, ..., _FIRST_T + n.

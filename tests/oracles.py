@@ -6,8 +6,8 @@ computes it in integers, one dense Bareiss determinant (det_int) at each of
 t = 0..n and exact Newton interpolation (_newton_expand) with every
 division checked, and det_bareiss and det_cofactor compute the same
 polynomial directly, by fraction-free elimination over Z[t] and by cofactor
-expansion, in RingPoly: LaurentPoly with the sums, differences and
-constants 0, 1 and t that no package code uses.  alexander_matrix_reference
+expansion, in RingPoly: LaurentPoly with the sums, differences, products
+and constants 0, 1 and t that no package code uses.  alexander_matrix_reference
 builds the dense relation matrix from RingPoly arithmetic, against the
 sparse (column, a, b) triples of qfox.laurent.alexander_matrix and their
 values at t = m mod p (qfox.sparse.pencil_at), and is the source of every
@@ -163,8 +163,8 @@ def det_pencil(a: list[list[int]], b: list[list[int]]) -> LaurentPoly:
 
 
 class RingPoly(LaurentPoly):
-    """LaurentPoly with the sums, differences and constants 0, 1 and t that
-    only the Z[t] oracles use.  Products and negations stay RingPoly, and a
+    """LaurentPoly with the sums, differences, products and constants 0, 1
+    and t that only the Z[t] oracles use.  Negations stay RingPoly, and a
     RingPoly equals the LaurentPoly with the same terms."""
 
     @classmethod
@@ -200,7 +200,15 @@ class RingPoly(LaurentPoly):
         return self + -other
 
     def __mul__(self, other: LaurentPoly) -> "RingPoly":
-        return RingPoly.of(LaurentPoly.__mul__(self, other))
+        if self.is_zero or other.is_zero:
+            return RingPoly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RingPoly(tuple(out), self.min_exp + other.min_exp)
 
 
 def det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -240,7 +248,7 @@ def det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         if head.is_zero:
             continue
         sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = head * det_cofactor(sub)
+        term = RingPoly.of(head) * det_cofactor(sub)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
@@ -625,5 +633,5 @@ def hironaka_quotient(p: int, q: int) -> LaurentPoly:
         [(0, 1), (1, 2), (1 + p, 1), (1 + q, 1), (3, -1), (p + q, -1),
          (p + 2, 1), (q + 2, 1), (p + q + 2, 2), (p + q + 3, 1)]
     )
-    den = LaurentPoly((1, 1), 0)
+    den = RingPoly((1, 1), 0)
     return exact_div(num, den * den * den)

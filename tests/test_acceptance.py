@@ -41,7 +41,7 @@ from qfox import (
     unit_equivalent,
     verify_coloring,
 )
-from oracles import enumerate_colorings_brute, kernel_vectors
+from oracles import RingPoly, enumerate_colorings_brute, kernel_vectors
 
 TABLE1 = [(2, 3), (3, 7), (4, 13), (6, 31), (7, 43), (9, 73), (13, 157), (15, 211)]
 TABLE2 = [(2, 5), (4, 17), (6, 37), (10, 101), (14, 197), (16, 257), (20, 401), (24, 577)]
@@ -157,7 +157,7 @@ def test_criterion_08_pretzel_equality_at_m2():
 
 
 def test_criterion_09_pretzel_closed_form_cross_validation():
-    one_plus_t = parse_poly("1 + t")
+    one_plus_t = RingPoly.of(parse_poly("1 + t"))
     cube = one_plus_t * one_plus_t * one_plus_t
     for a in (3, 5, 7, 9):
         closed = pretzel_alexander(PretzelParams(a))

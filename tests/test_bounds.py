@@ -35,7 +35,7 @@ from qfox.bounds import (
     profile,
 )
 from qfox.laurent import LaurentPoly, alexander_matrix, first_minor, reduce_normalize
-from oracles import base_m_digits, prime_scan_reference, smallest_prime_factor, strong_lucas_uv
+from oracles import RingPoly, base_m_digits, prime_scan_reference, smallest_prime_factor, strong_lucas_uv
 
 TREFOIL_POLY = parse_poly("1 - t + t^2")
 P73 = parse_poly("2 - 3t + 3t^2 - 3t^3 + 2t^4")
@@ -615,7 +615,7 @@ _polys = st.builds(
     st.lists(st.integers(-40, 40), min_size=1, max_size=7),
     st.integers(0, 2),
 )
-_products = st.builds(lambda a, b: a * b, _polys, _polys)
+_products = st.builds(lambda a, b: RingPoly.of(a) * b, _polys, _polys)
 
 
 @settings(max_examples=120, deadline=None)

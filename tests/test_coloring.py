@@ -15,6 +15,7 @@ from qfox import (
     QfoxError,
     QuandleParams,
     alexander_matrix,
+    build_diagram,
     collapse_and_check,
     coloring_matrix,
     first_minor,
@@ -55,6 +56,7 @@ from oracles import (
     smallest_prime_factor,
 )
 from qfox.families import braid_closure, pretzel_diagram, PretzelParams, torus_diagram, TorusParams
+from pretzels import pretzel_pd
 
 
 def valid_params():
@@ -705,9 +707,12 @@ def _prefix_walk(rest, p, walk_line):
                     yield *run, colors, rest[-1]
 
 
-# Kernel dimension 5 and 6, where runs are bounded at once after the first p
-# prefixes that need bounds.
-RUN_CASES = [((3, 3, 3, 3), 3, 2), ((3, 3, 3, 3, 3), 3, 2), ((5, 5, 5, 5), 11, 2), ((3, 3, 3, 3), 13, 4)]
+# Kernel dimension 4, 5 and 6: every run that needs bounds is bounded by its
+# group counts, and so is the lone last prefix.
+RUN_CASES = [
+    ((3, 3, 3, 3), 3, 2), ((3, 3, 3, 3, 3), 3, 2), ((5, 5, 5, 5), 11, 2), ((3, 3, 3, 3), 13, 4),
+    ((5, 5, 5), 11, 2), ((3, 3, 3), 3, 2),
+]
 
 
 @settings(max_examples=60, deadline=None)
@@ -764,7 +769,8 @@ def _count_runs_and_lines(monkeypatch):
 @pytest.mark.parametrize("word,p,m,by_runs", [
     ([1] * 5 + [2] * 5 + [3] * 5 + [4] * 5 + [5] * 5, 11, 2, True),  # 5 x T(2,5): 1,464 lines
     ([1] * 5 + [2] * 5 + [3] * 5 + [4] * 5, 11, 2, True),            # 4 x T(2,5): 133 lines
-    # Kernel dimension 4: one run, bounded a prefix at a time.
+    # Kernel dimension 4: one run and the lone last prefix, both taken whole on
+    # the probe, so no group is counted.
     ([1] * 5 + [-2] * 5 + [3] * 5, 11, 2, False),                    # T(2,5) # T(2,-5) # T(2,5)
     ([1] * 11 + [2] * 11 + [3] * 11, 683, 2, False),                 # 3 x T(2,11): color lists
 ])
@@ -779,6 +785,18 @@ def test_run_bounds_keep_the_first_minimum(monkeypatch, word, p, m, by_runs):
     assert (count, tuple(witness.colors[a] for a in d.arcs)) == first_minimum(d, params)
     if by_runs:
         assert 0 < calls["lines"] < p * calls["runs"]
+
+
+@pytest.mark.parametrize("q,towers", [(3, 3), (3, 5), (5, 5), (7, 5), (5, 7)])
+def test_walks_on_prime_pretzels_keep_the_first_minimum(q, towers):
+    """P(q, ..., q) at (p, m) = (q, q - 1) has kernel dimension 3 to 7:
+    walks of several lines on prime diagrams, each finding the oracle's
+    first minimum, q colors."""
+    d = build_diagram(pretzel_pd(q, towers))
+    params = QuandleParams(q, q - 1)
+    count, witness = min_colors_on_diagram(d, params)
+    assert (count, tuple(witness.colors[a] for a in d.arcs)) == first_minimum(d, params)
+    assert count == q
 
 
 def test_a_wide_field_line_is_counted_from_its_meetings():
