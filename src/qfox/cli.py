@@ -27,7 +27,6 @@ from .coloring import (
     Coloring,
     QuandleParams,
     collapse_and_check,
-    coloring_matrix,
     kernel_basis,
     kh_witness,
     min_colors_on_diagram,
@@ -316,8 +315,7 @@ def cmd_color(args) -> int:
         _emit(args, payload, lines)
         return 0
 
-    mat = coloring_matrix(d, params)
-    dim = len(kernel_basis(mat))
+    dim = len(kernel_basis(d, params))
     nontrivial = dim > 1
     payload.update({"kernel_dim": dim, "nontrivially_colorable": nontrivial})
     _emit(

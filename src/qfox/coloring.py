@@ -4,11 +4,11 @@ The quandle operation is x * y = m x + (1 - m) y (mod n) with m a unit of
 Z_n; m = -1 gives the dihedral operation 2y - x.  Colorings of a diagram
 are exactly the kernel vectors of the relation pencil (alexander_matrix)
 at t = m, reduced mod n, so for prime n everything reduces to linear
-algebra over a field: the kernel is read off the column-ordered sparse
-echelon form of qfox.sparse by back substitution, and the collapse checks,
-which sum the pencil at t = m per color class, take their pivot rows and
-det B from the same elimination, run mod a prime above twice a Hadamard
-bound on the collapsed matrix.
+algebra over a field: qfox.sparse.kernel reads the kernel off the
+column-ordered sparse echelon form by back substitution, and the collapse
+checks, which sum the pencil at t = m per color class, take their pivot
+rows and det B from the same elimination, run mod a prime above twice a
+Hadamard bound on the collapsed matrix.
 
 Minimum-color search walks the non-trivial kernel vectors up to the affine
 action  v -> a v + b  (a unit, b anything), which preserves both validity
@@ -75,7 +75,7 @@ from .diagram import Diagram
 from .errors import ColoringError
 from .laurent import alexander_matrix, first_minor, reduce_normalize
 from .bounds import is_odd_prime, kl_lower_bound
-from .sparse import echelon, pencil_at, pivot_minor
+from .sparse import kernel, pencil_at, pivot_minor
 
 
 @dataclass(frozen=True)
@@ -146,53 +146,20 @@ class Coloring:
         return cls(n=data["p"], m=data["m"], colors=colors)
 
 
-@dataclass(frozen=True)
-class ModMatrix:
-    """The relation matrix with t = m, reduced mod n, as one row
-    {column: non-zero value} per crossing."""
-
-    rows: list[dict[int, int]]
-    modulus: int
-    arc_labels: tuple[int, ...]
+def coloring_matrix(d: Diagram, params: QuandleParams) -> list[dict[int, int]]:
+    """The relation matrix over Z_n whose kernel is the space of colorings,
+    one row {column: non-zero value} per crossing and one column per arc:
+    the relation pencil of alexander_matrix at t = m."""
+    return pencil_at(alexander_matrix(d).rows, params.m, params.n)
 
 
-def coloring_matrix(d: Diagram, params: QuandleParams) -> ModMatrix:
-    """Relation matrix over Z_n whose kernel is the space of colorings: the
-    relation pencil of alexander_matrix at t = m."""
-    rows = pencil_at(alexander_matrix(d).rows, params.m, params.n)
-    return ModMatrix(rows=rows, modulus=params.n, arc_labels=tuple(d.arcs))
-
-
-# ---------------------------------------------------------------------------
-# Linear algebra over Z_p
-# ---------------------------------------------------------------------------
-
-
-def kernel_basis(mat: ModMatrix) -> list[tuple[int, ...]]:
-    """Basis of the null space over Z_p, p = 2 or an odd prime, one vector
+def kernel_basis(d: Diagram, params: QuandleParams) -> list[tuple[int, ...]]:
+    """Basis of the space of colorings over Z_p, p an odd prime, one vector
     per free column: 1 on its own free column and 0 on the others."""
-    p = mat.modulus
-    if not is_odd_prime(p) and p != 2:
+    p = params.n
+    if not is_odd_prime(p):
         raise ColoringError(f"kernel computation needs a prime modulus, got {p}")
-    pivots, reduced, _ = echelon(mat.rows, p)
-    ncols = len(mat.arc_labels)
-    pivot_cols = {j for _, j in pivots}
-    free = [f for f in range(ncols) if f not in pivot_cols]
-    if not free:
-        return []
-    # columns[j] is coordinate j of every basis vector.  The pivot columns
-    # come by back substitution, last first, so each pivot is inverted once.
-    columns = {f: [int(i == k) for i in range(len(free))] for k, f in enumerate(free)}
-    zero = [0] * len(free)
-    for (_, j), row in zip(reversed(pivots), reversed(reduced)):
-        # columns has no entry at j yet, and a row's other columns come after j.
-        acc = zero
-        for jj, x in row.items():
-            if jj != j:
-                acc = [a + x * v for a, v in zip(acc, columns[jj])]
-        scale = -pow(row[j], -1, p)
-        columns[j] = [a * scale % p for a in acc]
-    return list(zip(*[columns[j] for j in range(ncols)]))
+    return kernel(coloring_matrix(d, params), p, len(d.arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +222,7 @@ def _orbit_walk(d: Diagram, params: QuandleParams, walk_line):
     where a line alone is more than 2^63 classes, a search with lines
     raises ColoringError."""
     p = params.n
-    rest = _without_constants(kernel_basis(coloring_matrix(d, params)), p)
+    rest = _without_constants(kernel_basis(d, params), p)
     if not rest:
         return
     if len(rest) > 1:
@@ -615,7 +582,7 @@ def kh_witness(
         raise ColoringError(
             f"KH check needs p equal to the reduced value at m: value {value}, p {p}"
         )
-    basis = kernel_basis(coloring_matrix(d, params))
+    basis = kernel_basis(d, params)
     if len(basis) != 2:
         raise ColoringError(
             f"internal inconsistency: kernel dimension {len(basis)} at p = value(m) = {p}"

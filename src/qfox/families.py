@@ -34,10 +34,10 @@ _CCW = {
 Port = tuple[int, str]
 
 # Family diagrams and polynomials are built up to this many crossings.  The
-# determinant bound of a first minor passes the largest tabulated modulus
-# near 10^4 crossings, which the CLI reports as an error; the cap stops a
-# specifier such as torus:2,99999999999 before its braid word of b(a-1)
-# letters or its dense polynomial of about ab coefficients is built.
+# coefficient bound of a first minor passes the largest tabulated modulus
+# at 15,427 crossings for T(2,n), which the CLI reports as an error; the
+# cap stops a specifier such as torus:2,99999999999 before its braid word of
+# b(a-1) letters or its dense polynomial of about ab coefficients is built.
 MAX_CROSSINGS = 100_000
 
 

@@ -7,10 +7,11 @@ straight from its crossings (alexander_matrix).  Every entry is linear in
 t, so the matrix is a sparse pencil A + tB: one row of at most three
 (column, a, b) triples per crossing, for the entries a + bt.  A first
 minor of size n is det(A + tB) for the minor's rows, taken by sparse
-elimination modulo a Mersenne prime above a proven coefficient bound, at
-one point t = 2^K whose base-2^K digits are the coefficients, or for the
-largest minors at n + 1 points and by interpolation (see qfox.sparse), so
-no division needs checking; the dense integer route is a test oracle.
+elimination modulo a Mersenne prime above twice one bound H on its
+coefficients, Hadamard's at |t| = 1: at one point t = 2^K whose base-2^K
+digits are the coefficients, or for the largest minors at n + 1 points
+and by interpolation (see qfox.sparse), so no division needs checking;
+the dense integer route is a test oracle.
 Exact division (exact_div) is long division by integer divmod checked for
 a remainder.  No integer elimination runs here: the mod-p kernel and the
 collapse checks (qfox.coloring) evaluate the same triples at t = m and take
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import re
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .diagram import Diagram
 from .errors import DiagramError, InexactDivisionError, NormalizationError
@@ -58,11 +59,11 @@ class LaurentPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LaurentPoly":
-        """Build from {exponent: coefficient} or an iterable of (exp, coeff)."""
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def from_terms(cls, terms: Iterable[tuple[int, int]]) -> "LaurentPoly":
+        """Build from (exponent, coefficient) pairs, summing repeated
+        exponents."""
         acc: dict[int, int] = {}
-        for e, c in items:
+        for e, c in terms:
             acc[e] = acc.get(e, 0) + c
         acc = {e: c for e, c in acc.items() if c != 0}
         if not acc:
@@ -258,24 +259,18 @@ def alexander_matrix(d: Diagram) -> AlexMatrix:
     return AlexMatrix(rows, tuple(d.arcs))
 
 
-def first_minor(mat: AlexMatrix, drop_row: int = 0, drop_col: int = 0) -> LaurentPoly:
-    """Determinant after deleting one row and one column.
+def first_minor(mat: AlexMatrix) -> LaurentPoly:
+    """Determinant after deleting the first row and the first column.
 
-    Defined only up to a unit ±t^n: different (drop_row, drop_col) choices
-    agree up to that ambiguity, which reduce_normalize absorbs.  A matrix
+    Defined only up to a unit ±t^n: every choice of deleted row and column
+    agrees up to that ambiguity, which reduce_normalize absorbs.  A matrix
     with no rows (a diagram without crossings) raises DiagramError.
     """
     if mat.n_rows == 0:
         raise DiagramError("a diagram without crossings has no first minor")
-    if not (0 <= drop_row < mat.n_rows and 0 <= drop_col < mat.n_cols):
-        raise IndexError("minor indices out of range")
     if mat.n_rows > 1 and mat.n_rows != mat.n_cols:
         raise ValueError("minor of a non-square matrix")
-    rows = [
-        [(j - (j > drop_col), a, b) for j, a, b in row if j != drop_col]
-        for i, row in enumerate(mat.rows)
-        if i != drop_row
-    ]
+    rows = [[(j - 1, a, b) for j, a, b in row if j] for row in mat.rows[1:]]
     return LaurentPoly(tuple(pencil_det(rows)))
 
 

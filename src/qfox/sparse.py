@@ -1,7 +1,7 @@
 """Sparse elimination modulo a prime, in two routines: the determinant of an
 integer pencil A + tB by evaluation modulo one Mersenne prime, and a
-column-ordered echelon form for kernels and the pivots and determinant of
-an integer matrix.
+column-ordered echelon form for the kernel of a matrix mod p and for the
+pivots and determinant of an integer matrix.
 
 A pencil row is a list of (column, a, b) triples, one per entry a + b*t that
 is not identically zero; columns are numbered 0..n-1.  Each elimination
@@ -39,8 +39,8 @@ tabulated Mersenne prime above 2^(K(n+1) + 1) the symmetric lift of the
 residue is det(2^K) itself, and its balanced base-2^K digits, each in
 [-2^(K-1), 2^(K-1)), are the coefficients.  Past ONE_POINT_MAX_EXPONENT
 the pencil is evaluated at t = 2, 3, ..., n + 2 instead, modulo the
-smallest tabulated Mersenne prime above twice the 1-norm bound below, and
-Newton interpolation mod p gives the coefficients.  On
+smallest tabulated Mersenne prime above 2H, and Newton interpolation mod p
+gives the coefficients, each the symmetric lift of its residue.  On
 that path the pivot order is chosen once, by _markowitz at a generic point
 modulo 2^61 - 1: the order is only a heuristic, since every replay checks
 its pivots, so a word-size modulus serves every pencil.  The order is
@@ -50,20 +50,16 @@ sequence is replayed at each point; where a replayed pivot vanishes,
 _markowitz at that t gives the value instead.  The relation entries t,
 1 - t and -1 vanish at no such t, which is why the points start at 2.
 
-echelon reads rows in that form too and takes the columns in increasing
-order; a column's pivot is the first remaining row that is non-zero there,
-swapped into place.  For a kernel any prime p will do, since back
-substitution reads the basis off the echelon form.
+echelon reads rows {column: value non-zero mod p} and takes the columns
+in increasing order; a column's pivot is the first remaining row that is
+non-zero there, swapped into place.  kernel runs it mod any prime p and
+reads the kernel basis off the pivot rows by back substitution;
 pivot_minor runs it on an integer matrix.
 
 Exactness rests on bounds, not on checked divisions, and on a fixed table
 of Mersenne primes 2^e - 1 whose primality is proven (Lucas-Lehmer): the
 modulus is the smallest of them above twice the bound, so no primality
-test and no Chinese remaindering runs.  For a pencil at n + 1 points,
-expanding the product over the rows of the sums of |a_ij| + |b_ij| covers
-every term of the Leibniz expansion, so B = prod_i sum_j (|a_ij| + |b_ij|)
-bounds the 1-norm of the coefficient vector of det(A + tB), and each
-coefficient is the symmetric lift of its residue.  For an integer matrix,
+test and no Chinese remaindering runs.  For an integer matrix,
 Hadamard's inequality bounds every minor by the product of the Euclidean
 norms of the min(rows, columns) largest non-zero rows.  Every entry a
 column-ordered elimination meets is a ratio of two minors (the Bareiss
@@ -91,21 +87,23 @@ _GENERIC_T = 0x9E3779B97F4A7C15
 _ORDER_P = (1 << 61) - 1
 
 # The largest Mersenne exponent evaluated at one point.  First minors timed
-# both ways, each path called directly (Python 3.11.7, 2-core Xeon, best of
-# 2 to 5 runs in one process): modulo 2^4253 - 1 and 2^4423 - 1, one point
-# took 0.8-4.4 ms against 5-45 ms for n + 1 points (T(2,57), P(-2,3,53),
-# T(4,21), T(3,31), T(5,17)).  Modulo 2^9689 - 1 to 2^11213 - 1 it took
-# 0.06-0.80 of the n + 1-point time on all 53 minors timed: T(a,b) with
-# 3 <= a <= 11 and at most 130 crossings, and P(-2,3,a).  Modulo
-# 2^19937 - 1 it won on T(3,b) (0.17-0.26) and on P(-2,3,91..115)
-# (0.06-0.08), but lost on denser torus knots: T(6,23) took 1.43 times the
-# n + 1-point time, T(8,17) 1.33, T(7,20) 1.28 and T(11,13) 1.12.  So 11213
-# is the highest exponent at which one point won every minor timed.  Past
-# the table, with larger proven Mersenne exponents, it lost 3.0 times on
-# T(5,76), 3.8 on T(7,51), 2.2 on T(11,31) and 1.3 on T(2,1001), and won
-# 19 times on P(-2,3,301), so the n + 1-point path keeps its place.  The
-# cutoff stays at 4423 so that P(-2,3,55) and P(-2,3,95), whose first
-# minors test the n + 1-point path, keep taking it.
+# both ways, each path called directly and the n + 1-point path modulo the
+# prime above 2H (Python 3.11.7, 2-core Xeon, best of 3 to 7 runs in one
+# process), on T(a,b) with 3 <= a <= 11 and at most 130 crossings and on
+# P(-2,3,a): modulo 2^4253 - 1 and 2^4423 - 1, one point took 0.9-6.3 ms
+# against 7.6-16 ms for n + 1 points on all 15 such minors.  Modulo
+# 2^9689 - 1 to 2^11213 - 1 it took 0.09-0.98 of the n + 1-point time on
+# all 63.  Modulo 2^19937 - 1 it won on T(3,b) (0.16-0.23) and on
+# P(-2,3,89..117) (0.05-0.14), but lost on denser torus knots: T(8,17) took
+# 1.35 times the n + 1-point time, T(6,23) and T(11,13) 1.32, and T(7,20)
+# 1.30.  So 11213 is the highest exponent at which one point won every
+# minor timed.  Past the table, with larger proven Mersenne exponents, it
+# lost 3.1 times on T(5,76), 2.4 on T(7,51), 2.7 on T(11,31) and 5.3 on
+# T(20,21), and won 5.3 times on P(-2,3,301); on T(2,1001) it took 2.4 s
+# and a peak RSS of 374 MB against 1.9 s and 20 MB.  So the n + 1-point
+# path keeps its place.  The cutoff stays at 4423 so that P(-2,3,55),
+# P(-2,3,65) and P(-2,3,95), whose first minors test the n + 1-point path,
+# keep taking it.
 ONE_POINT_MAX_EXPONENT = 4423
 
 # The interpolation points are t = _FIRST_T, ..., _FIRST_T + n.
@@ -131,12 +129,6 @@ def _symmetric(c: int, p: int) -> int:
     return c - p if c > p // 2 else c
 
 
-def pencil_modulus(rows: list[Row]) -> int:
-    """The modulus for det(A + tB): the smallest tabulated Mersenne prime
-    above twice its coefficient bound."""
-    return _mersenne_above(prod(sum(abs(a) + abs(b) for _, a, b in row) for row in rows))
-
-
 def pencil_at(rows: list[Row], t: int, p: int) -> list[dict[int, int]]:
     """The rows of A + tB mod p as {column: value non-zero mod p}."""
     return [{j: v for j, a, b in row if (v := (a + b * t) % p)} for row in rows]
@@ -146,17 +138,18 @@ def pencil_det(rows: list[Row]) -> list[int]:
     """The n + 1 coefficients of det(A + tB), lowest degree first, for a
     square pencil given as n rows of (column, a, b) triples: at one point
     while its modulus is at most 2^ONE_POINT_MAX_EXPONENT - 1, else at
-    n + 1 points."""
-    width = _digit_width(rows)
+    n + 1 points.  Both take the coefficient bound H."""
+    bound = _coefficient_bound(rows)
+    width = bound.bit_length() + 2
     if width * (len(rows) + 1) + 1 < ONE_POINT_MAX_EXPONENT:
         return _det_at_one_point(rows, width)
-    return _det_at_points(rows)
+    return _det_at_points(rows, bound)
 
 
-def _digit_width(rows: list[Row]) -> int:
-    """K = bits(H) + 2, where H = isqrt(min(prod_i sum_j w_ij^2,
-    prod_j sum_i w_ij^2)) + 1 with w_ij = |a_ij| + |b_ij| exceeds every
-    coefficient of det(A + tB) (see the module docstring)."""
+def _coefficient_bound(rows: list[Row]) -> int:
+    """H = isqrt(min(prod_i sum_j w_ij^2, prod_j sum_i w_ij^2)) + 1 with
+    w_ij = |a_ij| + |b_ij|, which exceeds every coefficient of det(A + tB)
+    in absolute value (see the module docstring)."""
     row_sq = []
     col_sq = [0] * len(rows)
     for row in rows:
@@ -166,14 +159,14 @@ def _digit_width(rows: list[Row]) -> int:
             total += w
             col_sq[j] += w
         row_sq.append(total)
-    h = isqrt(min(prod(row_sq), prod(col_sq))) + 1
-    return h.bit_length() + 2
+    return isqrt(min(prod(row_sq), prod(col_sq))) + 1
 
 
 def _det_at_one_point(rows: list[Row], width: int) -> list[int]:
     """det(A + tB) from its value at t = 2^width modulo the smallest
     tabulated Mersenne prime above 2^(width * (n + 1) + 1), by one Markowitz
-    elimination: the balanced base-2^width digits of the symmetric lift."""
+    elimination: the balanced base-2^width digits of the symmetric lift,
+    where width = bits(H) + 2."""
     n = len(rows)
     p = _mersenne_above(1 << (width * (n + 1)))
     value = _symmetric(_markowitz(pencil_at(rows, 1 << width, p), p)[0], p)
@@ -185,12 +178,13 @@ def _det_at_one_point(rows: list[Row], width: int) -> list[int]:
     return coeffs
 
 
-def _det_at_points(rows: list[Row]) -> list[int]:
-    """det(A + tB) from its values at t = 2, 3, ..., n + 2 modulo
-    pencil_modulus, by interpolation.  The values come from one compiled
-    elimination in a Markowitz order taken mod _ORDER_P; a fresh Markowitz
-    elimination mod p gives each value the replay cannot."""
-    p = pencil_modulus(rows)
+def _det_at_points(rows: list[Row], bound: int) -> list[int]:
+    """det(A + tB) from its values at t = 2, 3, ..., n + 2 modulo the
+    smallest tabulated Mersenne prime above twice its coefficient bound H,
+    by interpolation.  The values come from one compiled elimination in a
+    Markowitz order taken mod _ORDER_P; a fresh Markowitz elimination mod p
+    gives each value the replay cannot."""
+    p = _mersenne_above(bound)
     order = _markowitz(pencil_at(rows, _GENERIC_T, _ORDER_P), _ORDER_P)[1]
     compiled = _compile(rows, order) if len(order) == len(rows) else None
     values = []
@@ -497,6 +491,31 @@ def echelon(
                 elif jj in r:
                     del r[jj]
     return pivots, reduced, det
+
+
+def kernel(rows: list[dict[int, int]], p: int, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the null space mod the prime p of rows {column: value
+    non-zero mod p} over columns 0..ncols-1, one vector per free column: 1
+    on its own free column and 0 on the others.  The pivot columns come by
+    back substitution on the pivot rows of echelon, last first, so each
+    pivot is inverted once."""
+    pivots, reduced, _ = echelon(rows, p)
+    pivot_cols = {j for _, j in pivots}
+    free = [f for f in range(ncols) if f not in pivot_cols]
+    if not free:
+        return []
+    # columns[j] is coordinate j of every basis vector.
+    columns = {f: [int(i == k) for i in range(len(free))] for k, f in enumerate(free)}
+    zero = [0] * len(free)
+    for (_, j), row in zip(reversed(pivots), reversed(reduced)):
+        # columns has no entry at j yet, and a row's other columns come after j.
+        acc = zero
+        for jj, x in row.items():
+            if jj != j:
+                acc = [a + x * v for a, v in zip(acc, columns[jj])]
+        scale = -pow(row[j], -1, p)
+        columns[j] = [a * scale % p for a in acc]
+    return list(zip(*[columns[j] for j in range(ncols)]))
 
 
 def pivot_minor(rows: list[dict[int, int]]) -> tuple[list[int], int]:

@@ -20,8 +20,9 @@ qfox.coloring._orbit_walk: first_minimum and first_all_distinct read the
 witnesses of min_colors_on_diagram and kh_witness off it.  _row_reduce is
 the dense RREF mod p that the sparse echelon form of qfox.sparse replaced:
 rank, kernel_basis_rref and anchored_solution_rref read the rank, the
-kernel basis and the coloring pinned by anchor values off it, the last
-against qfox.families.pretzel_m2_coloring.  bareiss, the fraction-free
+kernel basis and the coloring pinned by anchor values off it, the second
+against qfox.sparse.kernel and the last against
+qfox.families.pretzel_m2_coloring.  bareiss, the fraction-free
 integer elimination behind det_int, and pivot_rows_fraction, the same
 elimination over Fraction, are the oracles for the pivot rows and det B
 that collapse_and_check reads off qfox.sparse.pivot_minor.
@@ -53,9 +54,7 @@ from qfox import bounds
 from qfox.bounds import _jacobi, is_odd_prime
 from qfox.coloring import (
     Coloring,
-    ModMatrix,
     _affine_canonical,
-    coloring_matrix,
     kernel_basis,
     verify_coloring,
 )
@@ -324,9 +323,10 @@ def _row_reduce(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int
     return pivots, m
 
 
-def rank(mat: ModMatrix) -> int:
-    dense = [[r.get(j, 0) for j in range(len(mat.arc_labels))] for r in mat.rows]
-    pivots, _ = _row_reduce(dense, mat.modulus)
+def rank(rows: list[dict[int, int]], ncols: int, p: int) -> int:
+    """The rank mod p of rows {column: value} over columns 0..ncols-1."""
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    pivots, _ = _row_reduce(dense, p)
     return len(pivots)
 
 
@@ -385,10 +385,9 @@ def enumerate_colorings_brute(d, params) -> set[tuple[int, ...]]:
 
 def kernel_vectors(d, params) -> set[tuple[int, ...]]:
     """All colorings via the kernel (prime modulus): span of the basis."""
-    mat = coloring_matrix(d, params)
-    basis = kernel_basis(mat)
+    basis = kernel_basis(d, params)
     p = params.n
-    q = len(mat.arc_labels)
+    q = len(d.arcs)
     out = set()
     for coeffs in product(range(p), repeat=len(basis)):
         v = [0] * q
@@ -405,7 +404,7 @@ def orbit_representatives(d, params):
     in the walk order of qfox.coloring._orbit_walk, as a list that is never
     changed after it is yielded.  Vectors are not in canonical form."""
     p = params.n
-    basis = kernel_basis(coloring_matrix(d, params))
+    basis = kernel_basis(d, params)
     if len(basis) < 2:
         return
     # The all-ones vector is the sum of the basis, so it can replace

@@ -33,7 +33,6 @@ from qfox import (
 )
 from qfox import coloring
 from qfox.coloring import (
-    ModMatrix,
     _affine_canonical,
     _bitmask_lines,
     _group_runs,
@@ -42,7 +41,7 @@ from qfox.coloring import (
     _orbit_walk,
     _pack,
 )
-from qfox.sparse import pivot_minor
+from qfox.sparse import kernel, pivot_minor
 from oracles import (
     alexander_matrix_reference,
     enumerate_colorings_brute,
@@ -118,20 +117,20 @@ def test_params_validation():
 
 
 def test_trefoil_matrix_rank(trefoil):
-    mat = coloring_matrix(trefoil, QuandleParams(3, 2))
-    assert len(mat.rows) == 3 and len(mat.rows[0]) == 3
-    assert rank(mat) == 1
-    assert len(kernel_basis(mat)) == 2
+    params = QuandleParams(3, 2)
+    rows = coloring_matrix(trefoil, params)
+    assert len(rows) == 3 and len(rows[0]) == 3
+    assert rank(rows, len(trefoil.arcs), 3) == 1
+    assert len(kernel_basis(trefoil, params)) == 2
 
 
 def test_trefoil_kernel_trivial_when_prime_misses(trefoil):
-    mat = coloring_matrix(trefoil, QuandleParams(5, 2))
-    assert len(kernel_basis(mat)) == 1
+    assert len(kernel_basis(trefoil, QuandleParams(5, 2))) == 1
 
 
 def test_kernel_requires_prime_modulus(trefoil):
     with pytest.raises(ColoringError):
-        kernel_basis(coloring_matrix(trefoil, QuandleParams(9, 2)))
+        kernel_basis(trefoil, QuandleParams(9, 2))
 
 
 def test_all_ones_always_in_kernel(trefoil, l4a1):
@@ -155,7 +154,7 @@ def test_all_ones_always_in_kernel(trefoil, l4a1):
 )
 def test_is_nontrivially_colorable(name, p, m, expected):
     """Some coloring uses more than one color: kernel dimension >= 2."""
-    basis = kernel_basis(coloring_matrix(get_diagram(name), QuandleParams(p, m)))
+    basis = kernel_basis(get_diagram(name), QuandleParams(p, m))
     assert (len(basis) >= 2) is expected
 
 
@@ -457,7 +456,7 @@ def walk_cases(draw):
     candidates = [q for q in _odd_prime_factors(abs(value), 2731) if m % q not in (0, 1)]
     p = draw(st.sampled_from(candidates or [q for q in WALK_PRIMES if m % q not in (0, 1)]))
     params = QuandleParams(p, m)
-    k = len(kernel_basis(coloring_matrix(d, params)))
+    k = len(kernel_basis(d, params))
     assume(k < 2 or (p ** (k - 1) - 1) // (p - 1) <= 3000)
     return d, params
 
@@ -498,7 +497,7 @@ def test_walk_visits_the_oracle_classes_in_order(ns, p, m):
     and its step is the last basis vector."""
     d = _sum(*ns)
     params = QuandleParams(p, m)
-    last = kernel_basis(coloring_matrix(d, params))[-1]
+    last = kernel_basis(d, params)[-1]
     runs = list(_orbit_walk(d, params, lambda lower: True))
     walked = []
     for i, (offsets, counts, colors, step) in enumerate(runs):
@@ -723,7 +722,7 @@ def test_run_bounds_yield_what_prefix_bounds_yield(case, floor):
     probe and the skipped runs change which prefixes are looked at, never
     which lines are counted."""
     ns, p, m = case
-    rest = kernel_basis(coloring_matrix(_sum(*ns), QuandleParams(p, m)))[1:]
+    rest = kernel_basis(_sum(*ns), QuandleParams(p, m))[1:]
 
     def walk_line(lower):
         return lower < floor
@@ -735,7 +734,7 @@ def test_run_bounds_yield_what_prefix_bounds_yield(case, floor):
 def test_wide_field_run_bounds_yield_what_prefix_bounds_yield(floor):
     """The same on color lists, on 4 x T(2,3) at (157, 13): 24,807 lines,
     whose runs are bounded from their groups' meetings."""
-    rest = kernel_basis(coloring_matrix(_sum(3, 3, 3, 3), QuandleParams(157, 13)))[1:]
+    rest = kernel_basis(_sum(3, 3, 3, 3), QuandleParams(157, 13))[1:]
 
     def walk_line(lower):
         return lower < floor
@@ -803,7 +802,7 @@ def test_a_wide_field_line_is_counted_from_its_meetings():
     """2 x T(2,7) at m = 10 has kernel dimension 3 at p = 909,091: one line
     of p classes, counted from where arc colors meet, not class by class."""
     d, params = _sum(7, 7), QuandleParams(909091, 10)
-    assert len(kernel_basis(coloring_matrix(d, params))) == 3
+    assert len(kernel_basis(d, params)) == 3
     start = time.process_time()
     count, witness = min_colors_on_diagram(d, params)
     assert time.process_time() - start < 0.5
@@ -818,7 +817,7 @@ def test_the_minimum_is_read_at_its_offset(monkeypatch):
     minimum at c = 272, the 40th offset with a meeting."""
     d, params = _sum(11, 11), QuandleParams(683, 2)
     p = 683
-    rest = kernel_basis(coloring_matrix(d, params))[1:]
+    rest = kernel_basis(d, params)[1:]
     steps = rest[-1]
     base = [(a + 2 * s) % p for a, s in zip(rest[0], steps)]
     offsets, counts = _meeting_lines(steps, p)(base, lambda lower: True)
@@ -870,7 +869,7 @@ def test_a_prime_value_leaves_one_class(case):
     affine class, and kh_witness reads the oracle's first all-distinct
     class off that class."""
     d, params = case
-    assert len(kernel_basis(coloring_matrix(d, params))) == 2
+    assert len(kernel_basis(d, params)) == 2
     found = kh_witness(d, params, reduced_alternating=True)
     got = None if found is None else tuple(found.colors[a] for a in d.arcs)
     assert got == first_all_distinct(d, params)
@@ -880,20 +879,20 @@ def test_kh_witness_checks_the_kernel(monkeypatch):
     d, params = torus_diagram(TorusParams(2, 5)), QuandleParams(11, 2)
     real = coloring.kernel_basis
 
-    def third_vector(mat):
-        basis = real(mat)
+    def third_vector(d, params):
+        basis = real(d, params)
         return basis + [basis[-1]]
 
     monkeypatch.setattr(coloring, "kernel_basis", third_vector)
     with pytest.raises(ColoringError, match="internal inconsistency: kernel dimension 3"):
         kh_witness(d, params, reduced_alternating=True)
 
-    monkeypatch.setattr(coloring, "kernel_basis", lambda mat: real(mat)[:1])
+    monkeypatch.setattr(coloring, "kernel_basis", lambda d, params: real(d, params)[:1])
     with pytest.raises(ColoringError, match="internal inconsistency: kernel dimension 1"):
         kh_witness(d, params, reduced_alternating=True)
 
-    def first_vector_doubled(mat):
-        basis = real(mat)
+    def first_vector_doubled(d, params):
+        basis = real(d, params)
         return [tuple(2 * x for x in basis[0])] + basis[1:]
 
     monkeypatch.setattr(coloring, "kernel_basis", first_vector_doubled)
@@ -924,7 +923,7 @@ def test_orbit_search_past_64_bit_fields_raises():
     d = braid_closure([1, 1, 1, 2, 2, 2])
     params = QuandleParams(2**64 - 2**32 + 1, 2**32)
     assert smallest_prime_factor(params.n) == params.n
-    assert len(kernel_basis(coloring_matrix(d, params))) == 3
+    assert len(kernel_basis(d, params)) == 3
     with pytest.raises(ColoringError, match="2\\^63"):
         min_colors_on_diagram(d, params)
     # One class is no line: the trefoil alone is fine at this p.
@@ -977,8 +976,8 @@ def test_minimum_below_kl_raises_for_knots_only(trefoil, l4a1, monkeypatch):
 def test_orbit_search_checks_constants_are_in_the_kernel(trefoil, monkeypatch):
     real = coloring.kernel_basis
 
-    def first_vector_doubled(mat):
-        basis = real(mat)
+    def first_vector_doubled(d, params):
+        basis = real(d, params)
         return [tuple(2 * x for x in basis[0])] + basis[1:]
 
     monkeypatch.setattr(coloring, "kernel_basis", first_vector_doubled)
@@ -1052,9 +1051,8 @@ def test_kernel_basis_matches_rref_oracle(rows, extra, p):
     """Random matrices mod p, some zero mod p, with `extra` zero columns
     appended: the sparse kernel basis is the one read off the RREF."""
     ncols = (len(rows[0]) if rows else 0) + extra
-    mat = ModMatrix(_sparse([[x % p for x in row] for row in rows]), p, tuple(range(ncols)))
     dense = [row + [0] * extra for row in rows]
-    assert kernel_basis(mat) == kernel_basis_rref(dense, ncols, p)
+    assert kernel(_sparse([[x % p for x in row] for row in rows]), p, ncols) == kernel_basis_rref(dense, ncols, p)
 
 
 def _registry_cases():
@@ -1069,4 +1067,4 @@ def _registry_cases():
 def test_registry_kernels_match_rref_oracle():
     for d, p, m in _registry_cases():
         rows = [[e.evaluate(m) for e in row] for row in alexander_matrix_reference(d)]
-        assert kernel_basis(coloring_matrix(d, QuandleParams(p, m))) == kernel_basis_rref(rows, len(d.arcs), p)
+        assert kernel_basis(d, QuandleParams(p, m)) == kernel_basis_rref(rows, len(d.arcs), p)

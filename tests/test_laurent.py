@@ -285,7 +285,7 @@ def _pushed(a, b, side):
         return [[(j, x, y) for j, (x, y) in enumerate(zip(ra, rb)) if x or y] for ra, rb in zip(a2, b2)]
 
     def exponent_bound(s):
-        return sparse._digit_width(rows(s)) * (n + 2) + 1
+        return (sparse._coefficient_bound(rows(s)).bit_length() + 2) * (n + 2) + 1
 
     s = 0
     if side:
@@ -311,10 +311,10 @@ def test_one_point_and_n_plus_1_points_match_oracles(pencil, side):
     assert det_bareiss(_pencil_poly(a, b)) == expected
     weights = [[(abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     h = isqrt(min(prod(map(sum, weights)), prod(map(sum, zip(*weights))))) + 1
-    width = sparse._digit_width(rows)
-    assert width == h.bit_length() + 2
+    assert sparse._coefficient_bound(rows) == h
+    width = h.bit_length() + 2
     one_point = sparse._det_at_one_point(rows, width)
-    points = sparse._det_at_points(rows)
+    points = sparse._det_at_points(rows, h)
     assert len(one_point) == len(points) == len(rows) + 1
     assert LaurentPoly(tuple(one_point)) == LaurentPoly(tuple(points)) == expected
     assert max(map(abs, one_point)) <= h
@@ -343,14 +343,15 @@ def test_vanishing_replayed_pivot_reruns_markowitz(monkeypatch):
     t = 2, so Markowitz runs again there and only there."""
     c = 1 << 1105
     rows = [[(0, -2, 1), (1, 3, 0)], [(0, 1, 0), (1, 2, 0)], [(2, c, 0)]]
-    assert sparse._digit_width(rows) * 4 + 1 >= sparse.ONE_POINT_MAX_EXPONENT
+    h = sparse._coefficient_bound(rows)
+    assert (h.bit_length() + 2) * 4 + 1 >= sparse.ONE_POINT_MAX_EXPONENT
     calls = []
     markowitz = sparse._markowitz
     monkeypatch.setattr(sparse, "_markowitz", lambda rows, p: calls.append((rows, p)) or markowitz(rows, p))
     assert sparse.pencil_det(rows) == [-7 * c, 2 * c, 0, 0]
     assert calls[0][1] == sparse._ORDER_P
     assert markowitz(*calls[0])[1] == [(2, 2), (0, 0), (1, 1)]
-    p = sparse.pencil_modulus(rows)
+    p = sparse._mersenne_above(h)
     assert calls[1:] == [([{1: 3}, {0: 1, 1: 2}, {2: c % p}], p)]  # the matrix at t = 2
 
 
@@ -359,7 +360,7 @@ def test_one_point_is_one_markowitz_elimination(monkeypatch):
     pencil at t = 2^K mod the one-point modulus, and neither an ordering
     run nor a compile nor a replay."""
     rows = [[(0, -2, 1), (1, 1, 0)], [(0, 1, 0), (1, 2, 0)]]
-    width = sparse._digit_width(rows)
+    width = sparse._coefficient_bound(rows).bit_length() + 2
     p = sparse._mersenne_above(1 << width * 3)
     calls = []
     markowitz = sparse._markowitz
@@ -394,16 +395,18 @@ def test_relation_minors_need_no_second_markowitz(monkeypatch, registry):
         (pretzel_diagram(PretzelParams(33)), pretzel_alexander(PretzelParams(33)), 1, 2203),
         (torus_diagram(TorusParams(5, 13)), torus_alexander(TorusParams(5, 13)), 1, 3217),
         (torus_diagram(TorusParams(7, 10)), torus_alexander(TorusParams(7, 10)), 1, 3217),
-        (pretzel_diagram(PretzelParams(55)), pretzel_alexander(PretzelParams(55)), 59 + 1, 127),
+        (pretzel_diagram(PretzelParams(55)), pretzel_alexander(PretzelParams(55)), 59 + 1, 89),
+        (pretzel_diagram(PretzelParams(65)), pretzel_alexander(PretzelParams(65)), 69 + 1, 107),
+        (torus_diagram(TorusParams(6, 23)), torus_alexander(TorusParams(6, 23)), 114 + 1, 107),
         (pretzel_diagram(PretzelParams(95)), pretzel_alexander(PretzelParams(95)), 99 + 1, 521),
     ],
-    ids=["T(2,31)", "P(-2,3,33)", "T(5,13)", "T(7,10)", "P(-2,3,55)", "P(-2,3,95)"],
+    ids=["T(2,31)", "P(-2,3,33)", "T(5,13)", "T(7,10)", "P(-2,3,55)", "P(-2,3,65)", "T(6,23)", "P(-2,3,95)"],
 )
 def test_first_minor_under_each_modulus(monkeypatch, diagram, closed_form, points, exponent):
     """Each minor is evaluated at one point below the cutoff, modulo the
     Mersenne prime above its one-point bound, and past it at n + 1 points
-    modulo the prime above twice its 1-norm bound; the reduced polynomial
-    is the closed form.  An evaluation is a pencil read at t (one point)
+    modulo the prime above twice its coefficient bound H; the reduced
+    polynomial is the closed form.  An evaluation is a pencil read at t (one point)
     or a replay at t (n + 1 points) modulo a prime other than the ordering
     run's."""
     evaluations: dict[int, set[int]] = {}
@@ -423,8 +426,8 @@ def test_first_minor_under_each_modulus(monkeypatch, diagram, closed_form, point
 
 def test_ordering_mod_2_61_minus_1_keeps_the_order(monkeypatch, registry):
     """The ordering run works mod 2^61 - 1.  On the registry's minors,
-    T(2,501) and P(-2,3,95) it picks the order the pencil's own 1-norm
-    modulus picks."""
+    T(2,501) and P(-2,3,95) it picks the order that the pencil's own
+    n + 1-point modulus, the prime above twice its bound H, picks."""
     diagrams = [build_diagram(pd, name) for name, pd in registry.items()]
     diagrams += [torus_diagram(TorusParams(2, 501)), pretzel_diagram(PretzelParams(95))]
     minors = []
@@ -432,7 +435,7 @@ def test_ordering_mod_2_61_minus_1_keeps_the_order(monkeypatch, registry):
     for d in diagrams:
         first_minor(alexander_matrix(d))
     for d, rows in zip(diagrams, minors, strict=True):
-        p = sparse.pencil_modulus(rows)
+        p = sparse._mersenne_above(sparse._coefficient_bound(rows))
         order = sparse._markowitz(sparse.pencil_at(rows, sparse._GENERIC_T, p), p)[1]
         assert sparse._markowitz(sparse.pencil_at(rows, sparse._GENERIC_T, sparse._ORDER_P), sparse._ORDER_P)[1] == order, d.name
 
@@ -522,7 +525,7 @@ def test_pretzel_and_two_strand_torus_minors_take_no_inverse(monkeypatch):
 
 def test_two_strand_torus_minor_at_n_plus_1_points_inverts_only_n_factorial(monkeypatch):
     """T(2,59) is past the one-point cutoff, so its minor is evaluated at
-    n + 1 points.  Every step of its ordering run and of its replays scales
+    n + 1 points, mod 2^89 - 1.  Every step of its ordering run and of its replays scales
     at most one target row, so neither divides anything out, and the
     interpolation inverts n! once: one pow call in all."""
     rows = []
@@ -532,14 +535,11 @@ def test_two_strand_torus_minor_at_n_plus_1_points_inverts_only_n_factorial(monk
     minor = first_minor(alexander_matrix(torus_diagram(TorusParams(2, 59))))
     assert reduce_normalize(minor, components=1) == torus_alexander(TorusParams(2, 59))
     (pencil,) = rows
-    p = sparse.pencil_modulus(pencil)
-    assert sparse._digit_width(pencil) * (len(pencil) + 1) + 1 >= sparse.ONE_POINT_MAX_EXPONENT
+    h = sparse._coefficient_bound(pencil)
+    assert (h.bit_length() + 2) * (len(pencil) + 1) + 1 >= sparse.ONE_POINT_MAX_EXPONENT
+    p = sparse._mersenne_above(h)
+    assert p == (1 << 89) - 1
     assert calls == [(factorial(len(pencil)) % p, -1, p)]
-
-
-def test_pencil_modulus_is_the_first_mersenne_prime_above_twice_the_bound():
-    assert sparse.pencil_modulus([[(0, (1 << 60) - 1, 0)]]) == (1 << 61) - 1
-    assert sparse.pencil_modulus([[(0, 1 << 59, 1 << 59)]]) == (1 << 89) - 1
 
 
 def test_first_minor_past_the_modulus_table_raises():
@@ -558,7 +558,7 @@ def test_first_minor_past_the_modulus_table_raises():
 
 
 def test_alexander_past_the_modulus_table_exits_1_within_1_gb():
-    """T(2,10001) needs a bound of about 2^20000.  The CLI names the
+    """T(2,16001) needs a bound H of about 2^20680.  The CLI names the
     modulus table, in well under a gigabyte of address space."""
 
     def limit_address_space():
@@ -566,7 +566,7 @@ def test_alexander_past_the_modulus_table_exits_1_within_1_gb():
 
     env = {**os.environ, "PYTHONPATH": str(Path(qfox.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-m", "qfox.cli", "alexander", "torus:2,10001"],
+        [sys.executable, "-m", "qfox.cli", "alexander", "torus:2,16001"],
         capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_address_space,
     )
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
@@ -636,7 +636,7 @@ def test_relation_rows_are_the_reference_evaluated():
                 expected = [{j: v for j, e in enumerate(row) if (v := e.evaluate(t) % p)} for row in ref]
                 assert sparse.pencil_at(rows, t, p) == expected, (d.name, t, p)
                 if t % p:
-                    assert coloring_matrix(d, QuandleParams(p, t)).rows == expected, (d.name, t, p)
+                    assert coloring_matrix(d, QuandleParams(p, t)) == expected, (d.name, t, p)
 
 
 @pytest.mark.parametrize(
@@ -668,6 +668,14 @@ def test_link_reduction_divides_out_one_minus_t(l4a1):
     assert unit_equivalent(minor, RingPoly.of(parse_poly("1 - t")) * red)
 
 
+def _first_row_and_column(mat, r, c):
+    """mat with row r and column c moved first and the others kept in
+    order, so that its first minor deletes row r and column c of mat."""
+    rows = [mat.rows[r]] + mat.rows[:r] + mat.rows[r + 1:]
+    moved = [[(0 if j == c else j + (j < c), a, b) for j, a, b in row] for row in rows]
+    return AlexMatrix(moved, mat.arc_labels)
+
+
 def test_minor_choice_is_unit_irrelevant():
     for name in ("3_1", "4_1", "5_1", "7_3", "L4a1_1", "T_3_4", "P_m2_3_3"):
         d = get_diagram(name)
@@ -676,7 +684,7 @@ def test_minor_choice_is_unit_irrelevant():
         n = mat.n_rows
         for r in range(n):
             for c in range(n):
-                assert unit_equivalent(base, first_minor(mat, r, c)), (name, r, c)
+                assert unit_equivalent(base, first_minor(_first_row_and_column(mat, r, c))), (name, r, c)
 
 
 @pytest.mark.parametrize("name", ["3_1", "4_1", "7_3", "L4a1_1", "T_3_4"])
@@ -693,14 +701,15 @@ def test_first_minor_equals_polynomial_bareiss(name):
                 for i, row in enumerate(ref)
                 if i != r
             ]
-            assert first_minor(mat, r, c) == det_bareiss(rows), (r, c)
+            assert first_minor(_first_row_and_column(mat, r, c)) == det_bareiss(rows), (r, c)
 
 
-def test_first_minor_rejects_empty_and_out_of_range(trefoil):
+def test_first_minor_rejects_empty_and_non_square(trefoil):
     with pytest.raises(DiagramError):
         first_minor(alexander_matrix(build_diagram(parse_pd("PD[]"))))
-    with pytest.raises(IndexError):
-        first_minor(alexander_matrix(trefoil), drop_row=len(trefoil.crossings))
+    mat = alexander_matrix(trefoil)
+    with pytest.raises(ValueError, match="non-square"):
+        first_minor(AlexMatrix(mat.rows[1:], mat.arc_labels))
 
 
 def test_full_determinant_vanishes(trefoil, l4a1):
